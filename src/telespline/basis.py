@@ -73,8 +73,10 @@ class UniformMesh:
         return self.a + i * self.h
 
     def knots(self) -> np.ndarray:
-        """The n_cells + 1 knots inside [a, b]."""
-        return np.array([self.knot(i) for i in range(self.n_cells + 1)])
+        """The n_cells + 1 knots inside [a, b], equal to :meth:`knot` entry by entry."""
+        knots = self.a + self.h * np.arange(self.n_cells + 1)
+        knots[-1] = self.b
+        return knots
 
 
 @dataclass(frozen=True)

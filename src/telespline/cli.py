@@ -301,12 +301,13 @@ def _write_plot_data(
     mesh: UniformMesh, history: SolutionHistory, config: RunConfig
 ) -> None:
     weights = basis_weights(mesh)
+    x_cells = [_format_number(x) for x in mesh.knots().tolist()]
     rows = []
     for frame in history.frames:
         values = knot_values(frame.values, weights, 0)
         t_cell = _format_number(frame.time)
-        for x, u in zip(mesh.knots(), values):
-            rows.append([_format_number(x), t_cell, _format_number(u)])
+        for x_cell, u in zip(x_cells, values.tolist()):
+            rows.append([x_cell, t_cell, _format_number(u)])
     _emit(config.plot_data, ["x", "t", "u"], rows, config.fmt)
 
 
@@ -315,20 +316,21 @@ def cmd_solve(config: RunConfig) -> None:
     problem = _load_problem(config)
     mesh, history, by_index = _march(problem, config)
     weights = basis_weights(mesh)
+    knots = mesh.knots().tolist()
 
     rows = []
     for t in config.times:
         frame = _frame_at(history, by_index, t, config.dt)
         values = knot_values(frame.values, weights, 0)
         t_cell = _format_number(t)
-        for x, u in zip(mesh.knots(), values):
+        for x, u in zip(knots, values.tolist()):
             if problem.exact is None:
                 exact_cell = ""
                 error_cell = ""
             else:
-                exact_value = problem.exact(float(x), t)
+                exact_value = problem.exact(x, t)
                 exact_cell = _format_number(exact_value)
-                error_cell = _format_number(float(u) - exact_value)
+                error_cell = _format_number(u - exact_value)
             rows.append([_format_number(x), t_cell, _format_number(u), exact_cell, error_cell])
 
     _emit(config.output, ["x", "t", "u", "exact", "error"], rows, config.fmt)

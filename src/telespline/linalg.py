@@ -4,11 +4,28 @@ Every linear system in this package is tridiagonal except for one extra
 entry in the first row (column 2) and one in the last row (column n-3),
 introduced by the boundary rows.  Each boundary row is used once to
 eliminate the end unknown from its neighbouring interior row, the interior
-block is swept with the standard forward-elimination / back-substitution
-pass, and the end unknowns are recovered from the untouched boundary rows.
-(Subtracting a multiple of an interior row from the boundary row instead
-would cancel the boundary row's diagonal exactly whenever the two rows
-share the symmetric (c, m, c) stencil, as they do for Dirichlet steps.)
+block is factored by the standard pivot sweep, and the end unknowns are
+recovered from the untouched boundary rows.  (Subtracting a multiple of an
+interior row from the boundary row instead would cancel the boundary row's
+diagonal exactly whenever the two rows share the symmetric (c, m, c)
+stencil, as they do for Dirichlet steps.)
+
+A time-stepping run solves with one matrix many times, so the work is split.
+:class:`CornerTridiagonalFactor` condenses the corners, runs the pivot sweep
+and forms the substitution multipliers once; its ``solve`` then handles one
+right-hand side at a time.  The forward and back substitutions are
+first-order linear recurrences, which ``solve`` evaluates by recursive
+doubling (Stone 1973): level k adds in the entry 2**k places away, weighted
+by the product of the 2**k multipliers between, so about log2(n) vectorised
+numpy passes replace a Python loop over n rows.  The factor counts once how
+many levels have a product of at least 2**-60; later levels change no
+result at double precision and are skipped.  The products themselves are
+formed level by level during each solve, one extra vector multiply per
+level, because keeping every level would hold about log2(n) arrays of
+length n per factor.  LAPACK's ``dgttrs`` would do the same job, but
+importing ``scipy.linalg`` adds about 0.4 s and 28 MiB to every process,
+more than a typical command spends in total, so numpy is the only
+dependency.
 
 A dense Gaussian-elimination routine with partial pivoting is kept
 alongside as an independent cross-check.
@@ -17,10 +34,16 @@ alongside as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 _PIVOT_FLOOR = 1e-13
+# doubling levels whose coefficients are all below this change no result
+_NEGLIGIBLE = 2.0**-60
+# pivot-sweep rows handled per batch of Python floats
+_PIVOT_CHUNK = 1024
 
 
 class SingularSystemError(RuntimeError):
@@ -85,69 +108,147 @@ class CornerTridiagonalSystem:
         return full
 
 
+class CornerTridiagonalFactor:
+    """The matrix of a corner-tridiagonal system, factored for repeated solves.
+
+    Built once from a :class:`CornerTridiagonalSystem` (its right-hand side
+    is ignored); :meth:`solve` then takes any number of right-hand sides.
+    Raises :class:`SingularSystemError` at the first pivot below the floor,
+    in row order: row 0, row n-1, then the interior rows 1 .. n-2.
+    ``levels`` holds the number of doubling levels of the forward and of the
+    back substitution.
+    """
+
+    def __init__(self, system: CornerTridiagonalSystem):
+        n = system.n
+        sub, diag, sup = system.sub, system.diag, system.sup
+        self.n = n
+
+        # row 0 (d0, sup[0], corner_top) eliminates the column-0 entry of row 1
+        d0 = float(diag[0])
+        if abs(d0) < _PIVOT_FLOOR:
+            raise SingularSystemError(0, d0)
+        self._first_row = (d0, float(sup[0]), system.corner_top)
+        self._fold_top = sub[0] / d0
+        # row n-1 (corner_bottom, sub[n-2], dn) eliminates column n-1 of row n-2
+        dn = float(diag[n - 1])
+        if abs(dn) < _PIVOT_FLOOR:
+            raise SingularSystemError(n - 1, dn)
+        self._last_row = (system.corner_bottom, float(sub[n - 2]), dn)
+        self._fold_bottom = sup[n - 2] / dn
+
+        # the condensed interior block, rows/unknowns 1 .. n-2
+        inner_diag = diag[1 : n - 1].copy()
+        inner_diag[0] -= self._fold_top * sup[0]
+        inner_diag[-1] -= self._fold_bottom * sub[n - 2]
+        inner_sup = sup[1 : n - 2].copy()
+        inner_sup[0] -= self._fold_top * system.corner_top
+        inner_sub = sub[1 : n - 2].copy()
+        inner_sub[-1] -= self._fold_bottom * system.corner_bottom
+        self._pivots = _pivot_sweep(inner_sub, inner_diag, inner_sup)
+
+        # forward: y_i = rhs_i / p_i - (sub_i / p_i) y_{i-1}
+        # back:    x_i = y_i - (sup_i / p_i) x_{i+1}
+        self._forward = -inner_sub / self._pivots[1:]
+        self._backward = -inner_sup / self._pivots[:-1]
+        self.levels = (_doubling_depth(self._forward), _doubling_depth(self._backward))
+
+    def solve(self, rhs) -> np.ndarray:
+        """The solution for one right-hand side; ``rhs`` is left untouched."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.n,):
+            raise ValueError(f"rhs needs shape ({self.n},), got {rhs.shape}")
+        if not np.isfinite(rhs).all():
+            raise ValueError("non-finite entries in rhs")
+        x = np.empty(self.n)
+        inner = x[1:-1]
+        inner[:] = rhs[1:-1]
+        inner[0] -= self._fold_top * rhs[0]
+        inner[-1] -= self._fold_bottom * rhs[-1]
+        inner /= self._pivots
+        forward_depth, backward_depth = self.levels
+        for shift, coefficients in islice(_doubling_levels(self._forward), forward_depth):
+            inner[shift:] += coefficients * inner[:-shift]
+        for shift, coefficients in islice(_doubling_levels(self._backward), backward_depth):
+            inner[:-shift] += coefficients * inner[shift:]
+        d0, sup0, corner_top = self._first_row
+        corner_bottom, sub_last, dn = self._last_row
+        x[0] = (rhs[0] - sup0 * x[1] - corner_top * x[2]) / d0
+        x[-1] = (rhs[-1] - corner_bottom * x[-3] - sub_last * x[-2]) / dn
+        return x
+
+
+def _pivot_sweep(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Pivots of the elimination of a tridiagonal block.
+
+    Global row numbers in errors are the block's row numbers plus one.  The
+    sweep is sequential; it runs over Python floats one chunk at a time, so
+    its temporary lists stay small whatever the size of the block.
+    """
+    floor = _PIVOT_FLOOR
+    pivots = np.empty(diag.size)
+    pivot = float(diag[0])
+    if abs(pivot) < floor:
+        raise SingularSystemError(1, pivot)
+    pivots[0] = pivot
+    for start in range(0, diag.size - 1, _PIVOT_CHUNK):
+        stop = min(start + _PIVOT_CHUNK, diag.size - 1)
+        chunk = []
+        keep = chunk.append
+        for up, low, middle in zip(
+            sup[start:stop].tolist(), sub[start:stop].tolist(), diag[start + 1 : stop + 1].tolist()
+        ):
+            pivot = middle - low * (up / pivot)
+            if -floor < pivot < floor:
+                raise SingularSystemError(start + len(chunk) + 2, pivot)
+            keep(pivot)
+        pivots[start + 1 : stop + 1] = chunk
+    return pivots
+
+
+def _doubling_levels(multipliers: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Recursive-doubling coefficients of a first-order linear recurrence.
+
+    ``multipliers[i]`` carries one entry of the recurrence into its
+    neighbour (i into i+1 forward, i+1 into i backward).  Level k pairs the
+    shift s = 2**k with the products of s consecutive multipliers; applying
+    the levels in order resolves the whole recurrence.  Each level is made
+    from the one before only when the caller asks for it.
+    """
+    coefficients = multipliers
+    shift = 1
+    while coefficients.size:
+        yield shift, coefficients
+        coefficients = coefficients[shift:] * coefficients[:-shift]
+        shift *= 2
+
+
+def _doubling_depth(multipliers: np.ndarray) -> int:
+    """How many doubling levels have a coefficient of at least 2**-60."""
+    depth = 0
+    for _, coefficients in _doubling_levels(multipliers):
+        if max(coefficients.max(), -coefficients.min()) < _NEGLIGIBLE:
+            break
+        depth += 1
+    return depth
+
+
 def solve(system: CornerTridiagonalSystem) -> np.ndarray:
     """Solve the corner-tridiagonal system; the input is left untouched."""
-    n = system.n
-    sub = system.sub.copy()
-    diag = system.diag.copy()
-    sup = system.sup.copy()
-    rhs = system.rhs.copy()
-    corner_top = system.corner_top
-    corner_bottom = system.corner_bottom
-
-    # row 0 (d0, sup[0], corner_top) eliminates the column-0 entry of row 1
-    d0 = diag[0]
-    if abs(d0) < _PIVOT_FLOOR:
-        raise SingularSystemError(0, d0)
-    factor = sub[0] / d0
-    diag[1] -= factor * sup[0]
-    sup[1] -= factor * corner_top
-    rhs[1] -= factor * rhs[0]
-
-    # row n-1 (corner_bottom, sub[n-2], dn) eliminates column n-1 of row n-2
-    dn = diag[n - 1]
-    if abs(dn) < _PIVOT_FLOOR:
-        raise SingularSystemError(n - 1, dn)
-    factor = sup[n - 2] / dn
-    diag[n - 2] -= factor * sub[n - 2]
-    sub[n - 3] -= factor * corner_bottom
-    rhs[n - 2] -= factor * rhs[n - 1]
-
-    # forward sweep over the interior block, rows/unknowns 1 .. n-2
-    sup_ = np.empty(n - 3)
-    rhs_ = np.empty(n - 2)
-    pivot = diag[1]
-    if abs(pivot) < _PIVOT_FLOOR:
-        raise SingularSystemError(1, pivot)
-    sup_[0] = sup[1] / pivot
-    rhs_[0] = rhs[1] / pivot
-    for i in range(2, n - 1):
-        pivot = diag[i] - sub[i - 1] * sup_[i - 2]
-        if abs(pivot) < _PIVOT_FLOOR:
-            raise SingularSystemError(i, pivot)
-        if i < n - 2:
-            sup_[i - 1] = sup[i] / pivot
-        rhs_[i - 1] = (rhs[i] - sub[i - 1] * rhs_[i - 2]) / pivot
-
-    # back substitution through the interior, then the two boundary rows
-    x = np.empty(n)
-    x[n - 2] = rhs_[n - 3]
-    for i in range(n - 3, 0, -1):
-        x[i] = rhs_[i - 1] - sup_[i - 1] * x[i + 1]
-    x[0] = (rhs[0] - sup[0] * x[1] - corner_top * x[2]) / d0
-    x[n - 1] = (rhs[n - 1] - corner_bottom * x[n - 3] - sub[n - 2] * x[n - 2]) / dn
-    return x
+    return CornerTridiagonalFactor(system).solve(system.rhs)
 
 
 def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting on a dense matrix.
 
-    Deliberately independent of :func:`solve` so the two can be used to
-    cross-check each other.
+    ``rhs`` is one right-hand side, or one per column of a 2-D array.  Rows
+    that already hold a zero below the pivot are skipped, which changes no
+    result and keeps banded matrices cheap.  Deliberately independent of
+    :func:`solve` so the two can be used to cross-check each other.
     """
     a = np.array(matrix, dtype=float, copy=True)
     b = np.array(rhs, dtype=float, copy=True)
-    n = b.size
+    n = b.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"matrix shape {a.shape} does not match rhs size {n}")
     for col in range(n):
@@ -157,10 +258,11 @@ def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if pivot_row != col:
             a[[col, pivot_row]] = a[[pivot_row, col]]
             b[[col, pivot_row]] = b[[pivot_row, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1 :] -= factors * b[col]
-    x = np.empty(n)
+        rows = col + 1 + np.flatnonzero(a[col + 1 :, col])
+        factors = a[rows, col] / a[col, col]
+        a[rows, col:] -= np.outer(factors, a[col, col:])
+        b[rows] -= np.multiply.outer(factors, b[col])
+    x = np.empty_like(b)
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x

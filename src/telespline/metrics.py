@@ -45,7 +45,7 @@ def error_norms(
     weights = basis_weights(mesh)
     numeric = knot_values(frame.values, weights, 0)
     errors = np.array(
-        [problem.exact(float(x), frame.time) for x in mesh.knots()]
+        [problem.exact(x, frame.time) for x in mesh.knots().tolist()]
     ) - numeric
     sq = float(np.dot(errors, errors))
     count = mesh.n_cells + 1

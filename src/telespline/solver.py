@@ -23,18 +23,28 @@ the diagonal and +2 k g2(x_i) on the right-hand side.
 
 The initial coefficient vector interpolates g1 at all knots and matches
 g1' at both ends (for either boundary kind), which closes the system.
+
+The step matrix depends on the step only through the ghost-level +1, so
+:func:`run` builds and factors it twice per run: once for the first step
+and once, on the second step, for every later one.  Each step then builds
+just its right-hand side, sampling the problem data once per knot through
+the problem's scalar callables, and solves with the kept factor
+(:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).
+:func:`assemble_step` and :func:`step` build and solve a single step on
+its own with the same arithmetic, so they reproduce :func:`run` exactly.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import UniformMesh, basis_weights, knot_values
-from .linalg import CornerTridiagonalSystem, solve
+from .basis import BasisWeights, UniformMesh, basis_weights, knot_values
+from .linalg import CornerTridiagonalFactor, CornerTridiagonalSystem, solve
 from .problem import BoundaryKind, TelegraphProblem, central_slope
 
 _TIME_ALIGN_TOL = 1e-9
@@ -88,8 +98,9 @@ class CoefficientFrame:
 class SolutionHistory:
     """Frames captured at the requested output times of one run.
 
-    ``stepping_seconds[i]`` is the wall time the stepping loop (assembly and
-    solve only) had consumed when ``frames[i]`` was captured.
+    ``stepping_seconds[i]`` is the wall time the stepping loop had consumed
+    when ``frames[i]`` was captured: right-hand sides and solves, plus the
+    one-off factorisations of the first-step and later-step matrices.
     """
 
     problem: TelegraphProblem
@@ -104,20 +115,26 @@ def _initial_slope_at(problem: TelegraphProblem, x: float, mesh: UniformMesh) ->
     return central_slope(problem.initial_value, x, 1e-6 * mesh.h)
 
 
-def initial_coefficients(problem: TelegraphProblem, mesh: UniformMesh) -> CoefficientFrame:
-    """Fit the initial profile: g1 at every knot, g1' at both ends."""
-    w = basis_weights(mesh)
+def _sample(function: Callable[..., float], knots: list[float], *args: float) -> np.ndarray:
+    """``function(x, *args)`` at every knot, one scalar call per knot."""
+    return np.fromiter(
+        map(function, knots, *(repeat(arg) for arg in args)), dtype=float, count=len(knots)
+    )
+
+
+def _fit_initial(
+    problem: TelegraphProblem, mesh: UniformMesh, w: BasisWeights, knots: list[float]
+) -> CoefficientFrame:
     n = mesh.n_cells + 3
     sub = np.empty(n - 1)
     diag = np.empty(n)
     sup = np.empty(n - 1)
     rhs = np.empty(n)
 
-    knots = mesh.knots()
     sub[: n - 2] = w.a1
     diag[1 : n - 1] = w.a2
     sup[1:] = w.a1
-    rhs[1 : n - 1] = [problem.initial_value(float(x)) for x in knots]
+    rhs[1 : n - 1] = _sample(problem.initial_value, knots)
 
     diag[0] = w.a3
     sup[0] = 0.0
@@ -131,6 +148,88 @@ def initial_coefficients(problem: TelegraphProblem, mesh: UniformMesh) -> Coeffi
 
     system = CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, rhs)
     return CoefficientFrame(values=solve(system), time=0.0)
+
+
+def initial_coefficients(problem: TelegraphProblem, mesh: UniformMesh) -> CoefficientFrame:
+    """Fit the initial profile: g1 at every knot, g1' at both ends."""
+    return _fit_initial(problem, mesh, basis_weights(mesh), mesh.knots().tolist())
+
+
+def _step_matrix(
+    problem: TelegraphProblem,
+    mesh: UniformMesh,
+    params: SchemeParams,
+    w: BasisWeights,
+    first_step: bool,
+) -> CornerTridiagonalSystem:
+    """The step's matrix, with a zero right-hand side.
+
+    It depends on the step only through ``first_step``.
+    """
+    k = params.dt
+    theta = params.theta
+    lam = 1.0 + 2.0 * problem.alpha * k + k * k * theta * problem.beta**2
+    if first_step:
+        lam += 1.0
+    inner_lo = lam * w.a1 - k * k * theta * w.a5
+    inner_mid = lam * w.a2 - k * k * theta * w.a6
+
+    n = mesh.n_cells + 3
+    sub = np.empty(n - 1)
+    diag = np.empty(n)
+    sup = np.empty(n - 1)
+    sub[: n - 2] = inner_lo
+    diag[1 : n - 1] = inner_mid
+    sup[1:] = inner_lo
+    if problem.boundary.kind is BoundaryKind.DIRICHLET:
+        diag[0], sup[0], corner_top = w.a1, w.a2, w.a1
+        corner_bottom, sub[n - 2], diag[n - 1] = w.a1, w.a2, w.a1
+    else:
+        diag[0], sup[0], corner_top = w.a3, 0.0, w.a4
+        corner_bottom, sub[n - 2], diag[n - 1] = w.a3, 0.0, w.a4
+    return CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, np.zeros(n))
+
+
+def _step_rhs(
+    problem: TelegraphProblem,
+    params: SchemeParams,
+    w: BasisWeights,
+    knots: list[float],
+    current: CoefficientFrame,
+    previous: CoefficientFrame,
+    t_j: float,
+    first_step: bool,
+) -> np.ndarray:
+    """The step's right-hand side: collocation rows, then the boundary rows."""
+    k = params.dt
+    theta = params.theta
+    alpha = problem.alpha
+    beta2 = problem.beta**2
+
+    u_now = knot_values(current.values, w, 0)
+    uxx_now = knot_values(current.values, w, 2)
+    if params.forcing_level == "j":
+        q_vals = _sample(problem.forcing, knots, t_j)
+    else:
+        q_next = _sample(problem.forcing, knots, t_j + k)
+        q_vals = theta * q_next + (1.0 - theta) * _sample(problem.forcing, knots, t_j)
+
+    rhs = np.empty(len(knots) + 2)
+    rhs_mid = rhs[1:-1]
+    rhs_mid[:] = (
+        2.0 * (1.0 + alpha * k) * u_now
+        + k * k * (1.0 - theta) * (uxx_now - beta2 * u_now)
+        + k * k * q_vals
+    )
+    if first_step:
+        rhs_mid += 2.0 * k * _sample(problem.initial_velocity, knots)
+    else:
+        rhs_mid -= knot_values(previous.values, w, 0)
+
+    t_next = t_j + k
+    rhs[0] = problem.boundary.left(t_next)
+    rhs[-1] = problem.boundary.right(t_next)
+    return rhs
 
 
 def assemble_step(
@@ -148,64 +247,10 @@ def assemble_step(
     replaces it).
     """
     w = basis_weights(mesh)
-    k = params.dt
-    theta = params.theta
-    alpha = problem.alpha
-    beta2 = problem.beta**2
-
-    lam = 1.0 + 2.0 * alpha * k + k * k * theta * beta2
-    if first_step:
-        lam += 1.0
-    inner_lo = lam * w.a1 - k * k * theta * w.a5
-    inner_mid = lam * w.a2 - k * k * theta * w.a6
-
-    knots = mesh.knots()
-    u_now = knot_values(current.values, w, 0)
-    uxx_now = knot_values(current.values, w, 2)
-    if params.forcing_level == "j":
-        q_vals = np.array([problem.forcing(float(x), t_j) for x in knots])
-    else:
-        q_vals = np.array(
-            [
-                theta * problem.forcing(float(x), t_j + k)
-                + (1.0 - theta) * problem.forcing(float(x), t_j)
-                for x in knots
-            ]
-        )
-
-    rhs_mid = (
-        2.0 * (1.0 + alpha * k) * u_now
-        + k * k * (1.0 - theta) * (uxx_now - beta2 * u_now)
-        + k * k * q_vals
+    rhs = _step_rhs(
+        problem, params, w, mesh.knots().tolist(), current, previous, t_j, first_step
     )
-    if first_step:
-        g2_vals = np.array([problem.initial_velocity(float(x)) for x in knots])
-        rhs_mid += 2.0 * k * g2_vals
-    else:
-        rhs_mid -= knot_values(previous.values, w, 0)
-
-    n = mesh.n_cells + 3
-    sub = np.empty(n - 1)
-    diag = np.empty(n)
-    sup = np.empty(n - 1)
-    rhs = np.empty(n)
-    sub[: n - 2] = inner_lo
-    diag[1 : n - 1] = inner_mid
-    sup[1:] = inner_lo
-    rhs[1 : n - 1] = rhs_mid
-
-    t_next = t_j + k
-    bc = problem.boundary
-    if bc.kind is BoundaryKind.DIRICHLET:
-        diag[0], sup[0], corner_top = w.a1, w.a2, w.a1
-        corner_bottom, sub[n - 2], diag[n - 1] = w.a1, w.a2, w.a1
-    else:
-        diag[0], sup[0], corner_top = w.a3, 0.0, w.a4
-        corner_bottom, sub[n - 2], diag[n - 1] = w.a3, 0.0, w.a4
-    rhs[0] = bc.left(t_next)
-    rhs[n - 1] = bc.right(t_next)
-
-    return CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, rhs)
+    return replace(_step_matrix(problem, mesh, params, w, first_step), rhs=rhs)
 
 
 def step(
@@ -254,7 +299,9 @@ def run(
     frames: list[CoefficientFrame] = []
     seconds: list[float] = []
 
-    frame0 = initial_coefficients(problem, mesh)
+    w = basis_weights(mesh)
+    knots = mesh.knots().tolist()
+    frame0 = _fit_initial(problem, mesh, w, knots)
     elapsed = 0.0
     if 0 in wanted:
         frames.append(frame0)
@@ -262,11 +309,20 @@ def run(
 
     previous = frame0
     current = frame0
+    factor = None
     for j in range(last):
         tic = _time.perf_counter()
-        advanced = step(
-            problem, mesh, params, current, previous, j * params.dt, first_step=(j == 0)
-        )
+        first_step = j == 0
+        if j < 2:
+            # step 0 has its own matrix and every later step shares one; the
+            # first-step factor is released before the second is built
+            factor = None
+            factor = CornerTridiagonalFactor(
+                _step_matrix(problem, mesh, params, w, first_step)
+            )
+        t_j = j * params.dt
+        rhs = _step_rhs(problem, params, w, knots, current, previous, t_j, first_step)
+        advanced = CoefficientFrame(values=factor.solve(rhs), time=t_j + params.dt)
         elapsed += _time.perf_counter() - tic
         previous, current = current, advanced
         if j + 1 in wanted:

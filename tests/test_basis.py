@@ -87,6 +87,14 @@ class TestWeights:
         assert mesh.knot(-3) == -0.75
         assert mesh.knots() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
+    @pytest.mark.parametrize(
+        "a, b, n",
+        [(0.0, 1.0, 4), (0, 3, 9), (0.0, math.pi, 7), (0.1, 0.7, 3), (-1.3, 2.9, 10000)],
+    )
+    def test_knots_equal_knot_exactly(self, a, b, n):
+        mesh = UniformMesh(a, b, n)
+        assert mesh.knots().tolist() == [mesh.knot(i) for i in range(n + 1)]
+
 
 class TestKnotTable:
     @pytest.mark.parametrize("mesh", [mesh_with_h(0.5), UniformMesh(0.0, math.pi, 5)])

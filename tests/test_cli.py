@@ -1,10 +1,14 @@
 """End-to-end command-line behaviour: outputs, formats, exit codes."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import telespline
 from telespline.cli import main
 from telespline.linalg import SingularSystemError
 
@@ -418,3 +422,43 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["solve", "--problem", "1", "--dt", "0.1", "--t-final", "0.2"])
         assert info.value.code == 2
+
+
+class TestFailureExitCodes:
+    def test_dirichlet_theta_zero_exits_3_before_any_output(self, capsys):
+        code, out, err = run_cli(
+            [
+                "solve", "--problem", "1", "--n", "20", "--dt", "0.01",
+                "--theta", "0", "--t-final", "0.05", "--times", "0,0.01",
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "row 1" in err
+
+    def test_forcing_turning_non_finite_exits_2(self, capsys, write_config):
+        # finite at t = 0, overflows to inf from the first step on
+        path = write_config(1, q="t*1e300*1e300")
+        code, out, err = run_cli(
+            ["solve", "--config", path, "--n", "20", "--dt", "0.01", "--t-final", "0.05"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite entries in rhs" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.linalg would add about 0.4 s and 28 MiB to every CLI process
+    source = Path(telespline.__file__).resolve().parents[1]
+    probe = "import sys, telespline.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=source,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"

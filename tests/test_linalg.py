@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from telespline.basis import UniformMesh
 from telespline.linalg import (
+    CornerTridiagonalFactor,
     CornerTridiagonalSystem,
     SingularSystemError,
     dense_solve_oracle,
     solve,
 )
+from telespline.problem import builtin_problem
+from telespline.solver import SchemeParams, assemble_step, initial_coefficients
 
 
 def random_dominant_system(rng, n):
@@ -32,6 +36,18 @@ def random_dominant_system(rng, n):
         diag[i] = (off + 1.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
     rhs = rng.uniform(-5.0, 5.0, n)
     return CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, rhs)
+
+
+def assert_factor_reuse_matches_oracle(system, rng, count=20):
+    """One factor, ``count`` random right-hand sides, each within 1e-12 relative."""
+    factor = CornerTridiagonalFactor(system)
+    rhs = rng.uniform(-5.0, 5.0, (system.n, count))
+    want = dense_solve_oracle(system.dense(), rhs)
+    for column in range(count):
+        got = factor.solve(rhs[:, column])
+        expected = want[:, column]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    return factor
 
 
 class TestSolve:
@@ -137,6 +153,61 @@ class TestSolve:
             solve(system)
 
 
+class TestFactor:
+    def test_pivot_failures_keep_their_rows(self):
+        # the boundary rows first, then the interior sweep in row order
+        cases = [
+            (np.ones(4), np.array([0.0, 3.0, 3.0, 3.0, 3.0]), np.ones(4), 0.5, 0.5, 0),
+            (np.ones(4), np.array([3.0, 3.0, 3.0, 3.0, 0.0]), np.ones(4), 0.5, 0.5, 4),
+            (
+                np.array([0.0, 1.0, 0.0, 1.0]),
+                np.array([1.0, 1.0, 1.0, 4.0, 4.0]),
+                np.array([0.0, 1.0, 0.0, 1.0]),
+                0.0,
+                0.0,
+                2,
+            ),
+        ]
+        for sub, diag, sup, top, bottom, row in cases:
+            system = CornerTridiagonalSystem(sub, diag, sup, top, bottom, np.ones(5))
+            with pytest.raises(SingularSystemError) as info:
+                CornerTridiagonalFactor(system)
+            assert info.value.row == row
+            assert info.value.pivot == 0.0
+
+    def test_solve_checks_the_rhs(self):
+        factor = CornerTridiagonalFactor(random_dominant_system(np.random.default_rng(3), 8))
+        with pytest.raises(ValueError, match="non-finite entries in rhs"):
+            factor.solve(np.array([0.0, 1.0, np.nan, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="shape"):
+            factor.solve(np.ones(7))
+
+    def test_rhs_is_not_mutated(self):
+        rng = np.random.default_rng(4)
+        factor = CornerTridiagonalFactor(random_dominant_system(rng, 12))
+        rhs = rng.uniform(-1.0, 1.0, 12)
+        before = rhs.copy()
+        factor.solve(rhs)
+        assert np.array_equal(rhs, before)
+
+    @pytest.mark.parametrize("problem_id", [1, 5])
+    @pytest.mark.parametrize("n_cells", [40, 100])
+    @pytest.mark.parametrize("first_step", [True, False])
+    def test_reuse_on_stiff_step_matrices(self, problem_id, n_cells, first_step):
+        # with k^2 theta / h^2 >= 100 the multipliers are close to 1, so the
+        # doubling coefficients never become negligible and every level runs
+        problem = builtin_problem(problem_id)
+        mesh = UniformMesh(problem.domain[0], problem.domain[1], n_cells)
+        params = SchemeParams(theta=1.0, dt=12 * mesh.h, t_final=12 * mesh.h)
+        assert params.dt**2 * params.theta / mesh.h**2 >= 100
+        frame = initial_coefficients(problem, mesh)
+        system = assemble_step(problem, mesh, params, frame, frame, 0.0, first_step)
+        factor = assert_factor_reuse_matches_oracle(system, np.random.default_rng(n_cells))
+        # shifts 1, 2, 4, ... below the n - 2 interior unknowns
+        every_level = (system.n - 3).bit_length()
+        assert factor.levels == (every_level, every_level)
+
+
 class TestConstruction:
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -204,3 +275,10 @@ def test_solver_matches_oracle_property(n, seed):
     want = dense_solve_oracle(system.dense(), system.rhs)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert float(np.max(np.abs(got - want))) <= 1e-11 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=4, max_value=2000), seed=st.integers(0, 2**31 - 1))
+def test_factor_reuse_matches_oracle_property(n, seed):
+    rng = np.random.default_rng(seed)
+    assert_factor_reuse_matches_oracle(random_dominant_system(rng, n), rng)

@@ -1,12 +1,13 @@
 """Time stepping: initial fit, system assembly, accuracy, API contract."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from telespline.basis import UniformMesh, basis_weights, evaluate_solution, knot_values
-from telespline.linalg import solve
+from telespline.linalg import SingularSystemError, solve
 from telespline.problem import (
     BoundaryKind,
     BoundarySpec,
@@ -326,3 +327,58 @@ class TestRunContract:
             run(self.p, self.mesh, self.params, [0.5, 0.2])
         with pytest.raises(ValueError, match="increasing"):
             run(self.p, self.mesh, self.params, [0.5, 0.5])
+
+
+class TestRunMatchesStepping:
+    @pytest.mark.parametrize("pid", [1, 5])
+    @pytest.mark.parametrize("level", ["j", "theta"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_frames_match_a_loop_of_step(self, pid, level, theta):
+        # run() factors each step matrix once; step() assembles and solves anew
+        p = builtin_problem(pid)
+        mesh = UniformMesh(p.domain[0], p.domain[1], 24)
+        dt, steps = 0.01, 12
+        params = SchemeParams(theta=theta, dt=dt, t_final=steps * dt, forcing_level=level)
+        history = run(p, mesh, params, [j * dt for j in range(steps + 1)])
+
+        previous = current = initial_coefficients(p, mesh)
+        expected = [current]
+        for j in range(steps):
+            advanced = step(p, mesh, params, current, previous, j * dt, first_step=(j == 0))
+            previous, current = current, advanced
+            expected.append(advanced)
+
+        assert len(history.frames) == len(expected)
+        for got, want in zip(history.frames, expected):
+            assert got.time == want.time
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
+
+
+class TestFailureClassification:
+    def test_dirichlet_theta_zero_fails_on_the_first_step(self):
+        # the boundary row and the collocation row at x_0 become proportional
+        p = builtin_problem(1)
+        sampled = []
+
+        def forcing(x, t):
+            sampled.append(t)
+            return p.forcing(x, t)
+
+        probe = dataclasses.replace(p, forcing=forcing)
+        mesh = UniformMesh(0.0, math.pi, 20)
+        params = SchemeParams(theta=0.0, dt=0.01, t_final=0.05)
+        with pytest.raises(SingularSystemError) as info:
+            run(probe, mesh, params, [0.0, 0.01, 0.05])
+        assert info.value.row == 1
+        assert all(t < params.dt for t in sampled)
+
+    def test_forcing_turning_non_finite_mid_run(self):
+        p = builtin_problem(1)
+        probe = dataclasses.replace(
+            p, forcing=lambda x, t: math.inf if t > 0.025 else p.forcing(x, t)
+        )
+        mesh = UniformMesh(0.0, math.pi, 20)
+        params = SchemeParams(theta=0.5, dt=0.01, t_final=0.05)
+        with pytest.raises(ValueError, match="non-finite entries in rhs"):
+            run(probe, mesh, params, [0.05])
