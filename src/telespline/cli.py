@@ -37,10 +37,10 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .basis import UniformMesh, basis_weights, knot_values
-from .expr import Expression, ExpressionError, parse
+from .expr import ExpressionError, parse
 from .linalg import SingularSystemError
 from .metrics import error_norms
-from .problem import BoundaryKind, BoundarySpec, TelegraphProblem, builtin_problem
+from .problem import BoundaryKind, BoundarySpec, TelegraphProblem, builtin_problem, sample
 from .solver import SchemeParams, SolutionHistory, run
 from .stability import stability_scan
 
@@ -142,18 +142,6 @@ def _parse_sweep(text: str) -> list[float]:
     return [min(start + i * step, stop) for i in range(count + 1)]
 
 
-def _expression_function_xt(expression: Expression) -> Callable[[float, float], float]:
-    return lambda x, t: expression.evaluate(x=x, t=t)
-
-
-def _expression_function_x(expression: Expression) -> Callable[[float], float]:
-    return lambda x: expression.evaluate(x=x)
-
-
-def _expression_function_t(expression: Expression) -> Callable[[float], float]:
-    return lambda t: expression.evaluate(t=t)
-
-
 def load_problem_config(path: str) -> TelegraphProblem:
     """Read a ``key = value`` problem description file."""
     try:
@@ -186,7 +174,9 @@ def load_problem_config(path: str) -> TelegraphProblem:
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
 
-    def expression_for(key: str) -> Expression:
+    def function_for(key: str) -> Callable:
+        """The key's expression as a problem callable: f(t) for boundary
+        data, else the expression itself, called as f(x) or f(x, t)."""
         value, lineno = entries[key]
         where = f"{path}:{lineno}: {key}"
         try:
@@ -199,6 +189,8 @@ def load_problem_config(path: str) -> TelegraphProblem:
             raise ConfigError(
                 f"{where}: may only use {sorted(allowed)}, found {sorted(extra)}"
             )
+        if allowed == {"t"}:
+            return lambda t: expression(0.0, t)
         return expression
 
     alpha = _parse_constant(entries["alpha"][0], f"{path}:{entries['alpha'][1]}: alpha")
@@ -214,27 +206,16 @@ def load_problem_config(path: str) -> TelegraphProblem:
             f"got {entries['bc'][0]!r}"
         ) from None
 
-    boundary = BoundarySpec(
-        kind,
-        _expression_function_t(expression_for("left")),
-        _expression_function_t(expression_for("right")),
-    )
-    exact = (
-        _expression_function_xt(expression_for("exact")) if "exact" in entries else None
-    )
-    initial_slope = (
-        _expression_function_x(expression_for("g1x")) if "g1x" in entries else None
-    )
     return TelegraphProblem(
         alpha=alpha,
         beta=beta,
         domain=domain,
-        forcing=_expression_function_xt(expression_for("q")),
-        initial_value=_expression_function_x(expression_for("g1")),
-        initial_velocity=_expression_function_x(expression_for("g2")),
-        boundary=boundary,
-        exact=exact,
-        initial_slope=initial_slope,
+        forcing=function_for("q"),
+        initial_value=function_for("g1"),
+        initial_velocity=function_for("g2"),
+        boundary=BoundarySpec(kind, function_for("left"), function_for("right")),
+        exact=function_for("exact") if "exact" in entries else None,
+        initial_slope=function_for("g1x") if "g1x" in entries else None,
     )
 
 
@@ -243,14 +224,6 @@ def _load_problem(config: RunConfig) -> TelegraphProblem:
         return load_problem_config(config.config_path)
     assert config.problem_id is not None
     return builtin_problem(config.problem_id)
-
-
-def _check_horizon(problem: TelegraphProblem, t_final: float) -> None:
-    if problem.t_max is not None and t_final > problem.t_max + 1e-12:
-        raise ConfigError(
-            f"t_final = {t_final} exceeds the problem's validity horizon "
-            f"t <= {problem.t_max} (the data degenerates beyond it)"
-        )
 
 
 def _emit(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> None:
@@ -268,7 +241,6 @@ def _march(
     problem: TelegraphProblem, config: RunConfig
 ) -> tuple[UniformMesh, SolutionHistory, dict[int, int]]:
     """Run the stepping loop; return the mesh, history, and index->frame map."""
-    _check_horizon(problem, config.t_final)
     mesh = UniformMesh(problem.domain[0], problem.domain[1], config.n_cells)
     params = SchemeParams(config.theta, config.dt, config.t_final, config.forcing_level)
     times: Sequence[float] = config.times
@@ -316,22 +288,26 @@ def cmd_solve(config: RunConfig) -> None:
     problem = _load_problem(config)
     mesh, history, by_index = _march(problem, config)
     weights = basis_weights(mesh)
-    knots = mesh.knots().tolist()
+    knots = mesh.knots()
+    x_cells = [_format_number(x) for x in knots.tolist()]
 
     rows = []
     for t in config.times:
         frame = _frame_at(history, by_index, t, config.dt)
-        values = knot_values(frame.values, weights, 0)
+        values = knot_values(frame.values, weights, 0).tolist()
         t_cell = _format_number(t)
-        for x, u in zip(knots, values.tolist()):
-            if problem.exact is None:
+        if problem.exact is None:
+            exact_values = [None] * len(values)
+        else:
+            exact_values = sample(problem.exact, knots, t).tolist()
+        for x_cell, u, exact_value in zip(x_cells, values, exact_values):
+            if exact_value is None:
                 exact_cell = ""
                 error_cell = ""
             else:
-                exact_value = problem.exact(x, t)
                 exact_cell = _format_number(exact_value)
                 error_cell = _format_number(u - exact_value)
-            rows.append([_format_number(x), t_cell, _format_number(u), exact_cell, error_cell])
+            rows.append([x_cell, t_cell, _format_number(u), exact_cell, error_cell])
 
     _emit(config.output, ["x", "t", "u", "exact", "error"], rows, config.fmt)
     if config.plot_data is not None:

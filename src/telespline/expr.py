@@ -12,26 +12,41 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
 Unary minus binds looser than '^', so -x^2 is -(x^2); 2^3^2 is 2^(3^2).
 Numbers are unsigned decimals with optional fraction and exponent.
-Known functions: sin, cos, tan, exp, sqrt, abs.
+Known functions: sin, cos, tan, exp, sqrt, abs.  Parentheses, function
+calls, unary minus and '^' may nest at most ``MAX_NESTING`` levels deep.
+
+A parsed :class:`Expression` is compiled once into a tree of closures over
+numpy operations, so ``expression(x, t)`` evaluates it on floats or, with
+numpy broadcasting, on whole float64 arrays in one call.  Arithmetic
+follows numpy's (``^`` is numpy's ``**``), and :class:`EvaluationError`
+is raised where the scalar ``math`` functions would fail, checked element
+by element: a zero divisor, or a function or ``^`` that turns non-NaN
+operands into NaN or finite operands into an infinity.  The error names
+the operands of the first offending element.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, NoReturn, Union
+
+import numpy as np
 
 _FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "abs": abs,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
 }
 
 _VARIABLES = ("x", "t")
+
+# deepest nesting of parentheses, calls, unary minus and '^' the parser accepts
+MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
@@ -140,6 +155,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.cursor = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.cursor]
@@ -182,10 +198,18 @@ class _Parser:
         return node
 
     def unary(self) -> Node:
+        # every nested construct recurses through here, so this bounds the
+        # parser's recursion and the nesting of the compiled closures
+        if self.depth == MAX_NESTING:
+            self.fail((f"at most {MAX_NESTING} levels of nesting",))
+        self.depth += 1
         if self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node: Node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         node = self.atom()
@@ -222,37 +246,87 @@ class _Parser:
         raise AssertionError("unreachable")
 
 
-def _eval(node: Node, x: float, t: float) -> float:
+def _operand(value):
+    """Arrays pass through; scalars become numpy floats, so every operation
+    follows numpy semantics (no Python exceptions, no complex powers)."""
+    return value if isinstance(value, np.ndarray) else np.float64(value)
+
+
+def _fail(operation: str, operands: tuple, bad) -> NoReturn:
+    """Raise for the first element where ``bad`` holds."""
+    bad, *operands = np.broadcast_arrays(bad, *operands)
+    first = bad.argmax()
+    raise EvaluationError(operation, tuple(float(v.flat[first]) for v in operands))
+
+
+def _checked(operation: str, operands: tuple, out):
+    """``out``, unless non-NaN operands gave NaN or finite ones an infinity."""
+    if np.isfinite(out).all():
+        return out
+    nan_in, finite_in = np.False_, np.True_
+    for value in operands:
+        nan_in = nan_in | np.isnan(value)
+        finite_in = finite_in & np.isfinite(value)
+    bad = (np.isnan(out) & ~nan_in) | (np.isinf(out) & finite_in)
+    if bad.any():
+        _fail(operation, operands, bad)
+    return out
+
+
+def _divide(left, right):
+    def divide(x, t):
+        numerator, divisor = left(x, t), right(x, t)
+        if not divisor.all():
+            _fail("/", (numerator, divisor), divisor == 0)
+        return numerator / divisor
+
+    return divide
+
+
+def _power(left, right):
+    def power(x, t):
+        base, exponent = left(x, t), right(x, t)
+        return _checked("^", (base, exponent), base**exponent)
+
+    return power
+
+
+_BINARY = {
+    "+": lambda left, right: lambda x, t: left(x, t) + right(x, t),
+    "-": lambda left, right: lambda x, t: left(x, t) - right(x, t),
+    "*": lambda left, right: lambda x, t: left(x, t) * right(x, t),
+    "/": _divide,
+    "^": _power,
+}
+
+
+def _negate(operand):
+    return lambda x, t: -operand(x, t)
+
+
+def _call(name: str, arg):
+    function = _FUNCTIONS[name]
+
+    def call(x, t):
+        value = arg(x, t)
+        return _checked(name, (value,), function(value))
+
+    return call
+
+
+def _compile(node: Node):
+    """A closure ``f(x, t)`` evaluating ``node``; x and t are numpy values."""
     if isinstance(node, Num):
-        return node.value
+        value = np.float64(node.value)
+        return lambda x, t: value
     if isinstance(node, Var):
-        return x if node.name == "x" else t
+        return (lambda x, t: x) if node.name == "x" else (lambda x, t: t)
     if isinstance(node, Neg):
-        return -_eval(node.operand, x, t)
+        return _negate(_compile(node.operand))
     if isinstance(node, BinOp):
-        left = _eval(node.left, x, t)
-        right = _eval(node.right, x, t)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            try:
-                return left / right
-            except ZeroDivisionError:
-                raise EvaluationError("/", (left, right)) from None
-        try:
-            return math.pow(left, right)
-        except (ValueError, OverflowError):
-            raise EvaluationError("^", (left, right)) from None
+        return _BINARY[node.op](_compile(node.left), _compile(node.right))
     if isinstance(node, Call):
-        arg = _eval(node.arg, x, t)
-        try:
-            return _FUNCTIONS[node.func](arg)
-        except (ValueError, OverflowError):
-            raise EvaluationError(node.func, (arg,)) from None
+        return _call(node.func, _compile(node.arg))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -286,12 +360,29 @@ def _collect_variables(node: Node, out: set[str]) -> None:
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression in the variables x and t."""
+    """A parsed expression in the variables x and t.
+
+    Calling it, ``expression(x, t)``, evaluates it with numpy broadcasting:
+    x and t may each be a float or a float64 array, and the result is a
+    numpy float or array.  A result that depends on neither variable is a
+    numpy float whatever the inputs' shapes.
+    """
 
     root: Node
+    _function: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_function", _compile(self.root))
+
+    def __call__(self, x=0.0, t=0.0):
+        with np.errstate(all="ignore"):
+            return self._function(_operand(x), _operand(t))
 
     def evaluate(self, x: float = 0.0, t: float = 0.0) -> float:
-        return _eval(self.root, x, t)
+        # a one-element array takes the code path of a knot array (numpy's
+        # scalar and array powers can differ in the last bit), so this agrees
+        # bit for bit with each element of an array call
+        return float(np.ravel(self(np.array([x], dtype=float), t))[0])
 
     def variables(self) -> frozenset[str]:
         names: set[str] = set()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import UniformMesh, basis_weights, knot_values
-from .problem import TelegraphProblem
+from .problem import TelegraphProblem, sample
 from .solver import CoefficientFrame
 
 
@@ -44,9 +44,7 @@ def error_norms(
         )
     weights = basis_weights(mesh)
     numeric = knot_values(frame.values, weights, 0)
-    errors = np.array(
-        [problem.exact(x, frame.time) for x in mesh.knots().tolist()]
-    ) - numeric
+    errors = sample(problem.exact, mesh.knots(), frame.time) - numeric
     sq = float(np.dot(errors, errors))
     count = mesh.n_cells + 1
     return ErrorReport(

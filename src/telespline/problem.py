@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 # number of sample points used for cheap consistency probes
 _PROBE_POINTS = 33
 
@@ -49,9 +51,18 @@ class Diagnostic:
 class TelegraphProblem:
     """A complete initial/boundary value problem for the damped wave equation.
 
+    The data callables are vectorised: ``forcing``, ``initial_value``,
+    ``initial_velocity``, ``exact`` and ``initial_slope`` are called with x
+    as a float64 array of points (the mesh knots, or the two interval ends)
+    and t as a float, and return either an array of x's shape or a scalar,
+    which stands for that value at every point.  Numpy ufuncs in place of
+    ``math`` functions give this; a callable that only takes scalars does
+    not work.  The boundary callables ``left`` and ``right`` take a scalar t.
+
     ``initial_slope`` optionally supplies g1' in closed form; when absent the
     derivative end conditions fall back to central differencing of g1.
-    ``t_max`` optionally marks the largest time the data stays regular for.
+    ``t_max`` optionally marks the largest time the data stays regular for;
+    :func:`telespline.solver.run` refuses to march past it.
     """
 
     alpha: float
@@ -76,20 +87,35 @@ class TelegraphProblem:
             )
         if self.exact is not None:
             # the exact solution must restrict to the initial profile at t = 0
-            for k in range(_PROBE_POINTS):
-                x = a + (b - a) * k / (_PROBE_POINTS - 1)
-                want = self.initial_value(x)
-                got = self.exact(x, 0.0)
-                if abs(got - want) > 1e-10 * max(1.0, abs(want)):
-                    raise ValueError(
-                        f"exact(x, 0) disagrees with the initial profile at "
-                        f"x = {x} ({got} vs {want})"
-                    )
+            x = a + (b - a) * np.arange(_PROBE_POINTS) / (_PROBE_POINTS - 1)
+            want = sample(self.initial_value, x)
+            got = sample(self.exact, x, 0.0)
+            off = np.abs(got - want) > 1e-10 * np.maximum(1.0, np.abs(want))
+            if off.any():
+                k = int(off.argmax())
+                raise ValueError(
+                    f"exact(x, 0) disagrees with the initial profile at "
+                    f"x = {x[k]} ({got[k]} vs {want[k]})"
+                )
+
+
+def sample(function: Callable[..., object], x: np.ndarray, *args: float) -> np.ndarray:
+    """``function(x, *args)`` as an array of x's shape, from one call."""
+    return np.broadcast_to(function(x, *args), x.shape)
 
 
 def central_slope(f: Callable[[float], float], x: float, step: float) -> float:
     """Central difference approximation of f'(x)."""
     return (f(x + step) - f(x - step)) / (2 * step)
+
+
+def slope_step(x):
+    """Central-difference step for f'(x): cbrt(eps) * max(1, |x|).
+
+    It balances the O(step^2) truncation error against the O(eps/step)
+    rounding error, so the slope is good to about eps^(2/3) at any mesh size.
+    """
+    return np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
 
 
 def validate(problem: TelegraphProblem, mesh) -> list[Diagnostic]:
@@ -99,29 +125,29 @@ def validate(problem: TelegraphProblem, mesh) -> list[Diagnostic]:
     solvable, the solution just cannot be smooth near the corners.
     """
     out: list[Diagnostic] = []
-    a, b = problem.domain
+    ends = np.array(problem.domain)
     g1 = problem.initial_value
     bc = problem.boundary
+    data = np.array([bc.left(0.0), bc.right(0.0)])
     if bc.kind is BoundaryKind.DIRICHLET:
-        for which, func, x in (("left", bc.left, a), ("right", bc.right, b)):
-            gap = abs(func(0.0) - g1(x))
-            if gap > 1e-10 * max(1.0, abs(g1(x))):
-                out.append(
-                    Diagnostic(f"{which} Dirichlet value vs initial profile", x, gap)
-                )
+        profile = sample(g1, ends)
+        gaps = np.abs(data - profile)
+        tolerances = 1e-10 * np.maximum(1.0, np.abs(profile))
+        condition = "Dirichlet value vs initial profile"
     else:
-        step = 1e-6 * (b - a)
-        for which, func, x in (("left", bc.left, a), ("right", bc.right, b)):
-            gap = abs(func(0.0) - central_slope(g1, x, step))
-            if gap > 1e-8:
-                out.append(
-                    Diagnostic(f"{which} Neumann value vs initial slope", x, gap)
-                )
+        gaps = np.abs(data - central_slope(g1, ends, slope_step(ends)))
+        tolerances = np.full(2, 1e-8)
+        condition = "Neumann value vs initial slope"
+    for which, x, gap, tolerance in zip(("left", "right"), ends, gaps, tolerances):
+        if gap > tolerance:
+            out.append(Diagnostic(f"{which} {condition}", float(x), float(gap)))
     if problem.exact is not None:
-        for x in mesh.knots().tolist():
-            gap = abs(problem.exact(x, 0.0) - g1(x))
-            if gap > 1e-10 * max(1.0, abs(g1(x))):
-                out.append(Diagnostic("exact solution vs initial profile", x, gap))
+        knots = mesh.knots()
+        profile = sample(g1, knots)
+        gaps = np.abs(sample(problem.exact, knots, 0.0) - profile)
+        off = gaps > 1e-10 * np.maximum(1.0, np.abs(profile))
+        for x, gap in zip(knots[off].tolist(), gaps[off].tolist()):
+            out.append(Diagnostic("exact solution vs initial profile", x, gap))
     return out
 
 
@@ -131,14 +157,14 @@ def _problem_one() -> TelegraphProblem:
         alpha=4.0,
         beta=2.0,
         domain=(0.0, math.pi),
-        forcing=lambda x, t: -2 * math.exp(-t) * math.sin(x),
-        initial_value=lambda x: math.sin(x),
-        initial_velocity=lambda x: -math.sin(x),
+        forcing=lambda x, t: -2 * np.exp(-t) * np.sin(x),
+        initial_value=lambda x: np.sin(x),
+        initial_velocity=lambda x: -np.sin(x),
         boundary=BoundarySpec(
             BoundaryKind.DIRICHLET, lambda t: 0.0, lambda t: 0.0
         ),
-        exact=lambda x, t: math.exp(-t) * math.sin(x),
-        initial_slope=lambda x: math.cos(x),
+        exact=lambda x, t: np.exp(-t) * np.sin(x),
+        initial_slope=lambda x: np.cos(x),
     )
 
 
@@ -148,17 +174,17 @@ def _problem_two() -> TelegraphProblem:
         alpha=10.0,
         beta=5.0,
         domain=(0.0, 2.0),
-        forcing=lambda x, t: 10 * (1 + math.tan((x + t) / 2) ** 2)
-        + 25 * math.tan((x + t) / 2),
-        initial_value=lambda x: math.tan(x / 2),
-        initial_velocity=lambda x: (1 + math.tan(x / 2) ** 2) / 2,
+        forcing=lambda x, t: 10 * (1 + np.tan((x + t) / 2) ** 2)
+        + 25 * np.tan((x + t) / 2),
+        initial_value=lambda x: np.tan(x / 2),
+        initial_velocity=lambda x: (1 + np.tan(x / 2) ** 2) / 2,
         boundary=BoundarySpec(
             BoundaryKind.DIRICHLET,
-            lambda t: math.tan(t / 2),
-            lambda t: math.tan((2 + t) / 2),
+            lambda t: np.tan(t / 2),
+            lambda t: np.tan((2 + t) / 2),
         ),
-        exact=lambda x, t: math.tan((x + t) / 2),
-        initial_slope=lambda x: (1 + math.tan(x / 2) ** 2) / 2,
+        exact=lambda x, t: np.tan((x + t) / 2),
+        initial_slope=lambda x: (1 + np.tan(x / 2) ** 2) / 2,
         t_max=1.0,
     )
 
@@ -169,14 +195,14 @@ def _problem_three() -> TelegraphProblem:
         alpha=0.5,
         beta=1.0,
         domain=(0.0, 1.0),
-        forcing=lambda x, t: (2 - 2 * t + t ** 2) * (x - x ** 2) * math.exp(-t)
-        + 2 * t ** 2 * math.exp(-t),
+        forcing=lambda x, t: (2 - 2 * t + t ** 2) * (x - x ** 2) * np.exp(-t)
+        + 2 * t ** 2 * np.exp(-t),
         initial_value=lambda x: 0.0,
         initial_velocity=lambda x: 0.0,
         boundary=BoundarySpec(
             BoundaryKind.DIRICHLET, lambda t: 0.0, lambda t: 0.0
         ),
-        exact=lambda x, t: (x - x ** 2) * t ** 2 * math.exp(-t),
+        exact=lambda x, t: (x - x ** 2) * t ** 2 * np.exp(-t),
         initial_slope=lambda x: 0.0,
     )
 
@@ -187,17 +213,17 @@ def _problem_four() -> TelegraphProblem:
         alpha=6.0,
         beta=2.0,
         domain=(0.0, 1.0),
-        forcing=lambda x, t: -12 * math.sin(t) * math.sin(x)
-        + 4 * math.cos(t) * math.sin(x),
-        initial_value=lambda x: math.sin(x),
+        forcing=lambda x, t: -12 * np.sin(t) * np.sin(x)
+        + 4 * np.cos(t) * np.sin(x),
+        initial_value=lambda x: np.sin(x),
         initial_velocity=lambda x: 0.0,
         boundary=BoundarySpec(
             BoundaryKind.DIRICHLET,
             lambda t: 0.0,
-            lambda t: math.cos(t) * math.sin(1),
+            lambda t: np.cos(t) * np.sin(1),
         ),
-        exact=lambda x, t: math.cos(t) * math.sin(x),
-        initial_slope=lambda x: math.cos(x),
+        exact=lambda x, t: np.cos(t) * np.sin(x),
+        initial_slope=lambda x: np.cos(x),
     )
 
 
@@ -207,16 +233,16 @@ def _problem_five() -> TelegraphProblem:
         alpha=4.0,
         beta=2.0,
         domain=(0.0, 2 * math.pi),
-        forcing=lambda x, t: -2 * math.exp(-t) * math.sin(x),
-        initial_value=lambda x: math.sin(x),
-        initial_velocity=lambda x: -math.sin(x),
+        forcing=lambda x, t: -2 * np.exp(-t) * np.sin(x),
+        initial_value=lambda x: np.sin(x),
+        initial_velocity=lambda x: -np.sin(x),
         boundary=BoundarySpec(
             BoundaryKind.NEUMANN,
-            lambda t: math.exp(-t),
-            lambda t: math.exp(-t),
+            lambda t: np.exp(-t),
+            lambda t: np.exp(-t),
         ),
-        exact=lambda x, t: math.exp(-t) * math.sin(x),
-        initial_slope=lambda x: math.cos(x),
+        exact=lambda x, t: np.exp(-t) * np.sin(x),
+        initial_slope=lambda x: np.cos(x),
     )
 
 

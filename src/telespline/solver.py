@@ -27,9 +27,11 @@ g1' at both ends (for either boundary kind), which closes the system.
 The step matrix depends on the step only through the ghost-level +1, so
 :func:`run` builds and factors it twice per run: once for the first step
 and once, on the second step, for every later one.  Each step then builds
-just its right-hand side, sampling the problem data once per knot through
-the problem's scalar callables, and solves with the kept factor
-(:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).
+just its right-hand side and solves with the kept factor
+(:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).  Problem
+data are sampled as arrays: every data callable is called once per use with
+the whole knot array (see :class:`telespline.problem.TelegraphProblem`), so
+a step costs one forcing call (two with theta-blended forcing).
 :func:`assemble_step` and :func:`step` build and solve a single step on
 its own with the same arithmetic, so they reproduce :func:`run` exactly.
 """
@@ -38,14 +40,13 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
-from itertools import repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .basis import BasisWeights, UniformMesh, basis_weights, knot_values
 from .linalg import CornerTridiagonalFactor, CornerTridiagonalSystem, solve
-from .problem import BoundaryKind, TelegraphProblem, central_slope
+from .problem import BoundaryKind, TelegraphProblem, central_slope, sample, slope_step
 
 _TIME_ALIGN_TOL = 1e-9
 
@@ -109,21 +110,16 @@ class SolutionHistory:
     stepping_seconds: list[float] = field(default_factory=list)
 
 
-def _initial_slope_at(problem: TelegraphProblem, x: float, mesh: UniformMesh) -> float:
+def _end_slopes(problem: TelegraphProblem, mesh: UniformMesh) -> np.ndarray:
+    """g1' at both interval ends."""
+    ends = np.array([mesh.a, mesh.b])
     if problem.initial_slope is not None:
-        return problem.initial_slope(x)
-    return central_slope(problem.initial_value, x, 1e-6 * mesh.h)
-
-
-def _sample(function: Callable[..., float], knots: list[float], *args: float) -> np.ndarray:
-    """``function(x, *args)`` at every knot, one scalar call per knot."""
-    return np.fromiter(
-        map(function, knots, *(repeat(arg) for arg in args)), dtype=float, count=len(knots)
-    )
+        return sample(problem.initial_slope, ends)
+    return central_slope(problem.initial_value, ends, slope_step(ends))
 
 
 def _fit_initial(
-    problem: TelegraphProblem, mesh: UniformMesh, w: BasisWeights, knots: list[float]
+    problem: TelegraphProblem, mesh: UniformMesh, w: BasisWeights, knots: np.ndarray
 ) -> CoefficientFrame:
     n = mesh.n_cells + 3
     sub = np.empty(n - 1)
@@ -134,17 +130,16 @@ def _fit_initial(
     sub[: n - 2] = w.a1
     diag[1 : n - 1] = w.a2
     sup[1:] = w.a1
-    rhs[1 : n - 1] = _sample(problem.initial_value, knots)
+    rhs[1 : n - 1] = sample(problem.initial_value, knots)
+    rhs[0], rhs[n - 1] = _end_slopes(problem, mesh)
 
     diag[0] = w.a3
     sup[0] = 0.0
     corner_top = w.a4
-    rhs[0] = _initial_slope_at(problem, mesh.a, mesh)
 
     corner_bottom = w.a3
     sub[n - 2] = 0.0
     diag[n - 1] = w.a4
-    rhs[n - 1] = _initial_slope_at(problem, mesh.b, mesh)
 
     system = CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, rhs)
     return CoefficientFrame(values=solve(system), time=0.0)
@@ -152,7 +147,7 @@ def _fit_initial(
 
 def initial_coefficients(problem: TelegraphProblem, mesh: UniformMesh) -> CoefficientFrame:
     """Fit the initial profile: g1 at every knot, g1' at both ends."""
-    return _fit_initial(problem, mesh, basis_weights(mesh), mesh.knots().tolist())
+    return _fit_initial(problem, mesh, basis_weights(mesh), mesh.knots())
 
 
 def _step_matrix(
@@ -194,7 +189,7 @@ def _step_rhs(
     problem: TelegraphProblem,
     params: SchemeParams,
     w: BasisWeights,
-    knots: list[float],
+    knots: np.ndarray,
     current: CoefficientFrame,
     previous: CoefficientFrame,
     t_j: float,
@@ -209,10 +204,10 @@ def _step_rhs(
     u_now = knot_values(current.values, w, 0)
     uxx_now = knot_values(current.values, w, 2)
     if params.forcing_level == "j":
-        q_vals = _sample(problem.forcing, knots, t_j)
+        q_vals = sample(problem.forcing, knots, t_j)
     else:
-        q_next = _sample(problem.forcing, knots, t_j + k)
-        q_vals = theta * q_next + (1.0 - theta) * _sample(problem.forcing, knots, t_j)
+        q_next = sample(problem.forcing, knots, t_j + k)
+        q_vals = theta * q_next + (1.0 - theta) * sample(problem.forcing, knots, t_j)
 
     rhs = np.empty(len(knots) + 2)
     rhs_mid = rhs[1:-1]
@@ -222,7 +217,7 @@ def _step_rhs(
         + k * k * q_vals
     )
     if first_step:
-        rhs_mid += 2.0 * k * _sample(problem.initial_velocity, knots)
+        rhs_mid += 2.0 * k * sample(problem.initial_velocity, knots)
     else:
         rhs_mid -= knot_values(previous.values, w, 0)
 
@@ -247,9 +242,7 @@ def assemble_step(
     replaces it).
     """
     w = basis_weights(mesh)
-    rhs = _step_rhs(
-        problem, params, w, mesh.knots().tolist(), current, previous, t_j, first_step
-    )
+    rhs = _step_rhs(problem, params, w, mesh.knots(), current, previous, t_j, first_step)
     return replace(_step_matrix(problem, mesh, params, w, first_step), rhs=rhs)
 
 
@@ -276,8 +269,14 @@ def run(
     """March from t = 0 and capture the requested output times.
 
     Every output time must sit on a step boundary (a multiple of dt within
-    1e-9) inside [0, t_final].
+    1e-9) inside [0, t_final], and t_final must not pass the problem's
+    ``t_max``.
     """
+    if problem.t_max is not None and params.t_final > problem.t_max + 1e-12:
+        raise ValueError(
+            f"t_final = {params.t_final} exceeds the problem's validity horizon "
+            f"t <= {problem.t_max} (the data degenerates beyond it)"
+        )
     times = [float(t) for t in output_times]
     if not times:
         raise ValueError("at least one output time is required")
@@ -300,7 +299,7 @@ def run(
     seconds: list[float] = []
 
     w = basis_weights(mesh)
-    knots = mesh.knots().tolist()
+    knots = mesh.knots()
     frame0 = _fit_initial(problem, mesh, w, knots)
     elapsed = 0.0
     if 0 in wanted:

@@ -251,6 +251,23 @@ class TestConfigFiles:
         assert err.startswith("error:")
         assert fragment in err
 
+    def test_deeply_nested_expression_exit_2(self, capsys, write_config):
+        path = write_config(1, q="(" * 150 + "-2*exp(-t)*sin(x)" + ")" * 150)
+        code, out, err = run_cli(
+            ["solve", "--config", path, "--n", "6", "--dt", "0.1", "--t-final", "0.2"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "q" in err and "levels of nesting" in err
+
+    def test_moderately_nested_expression_solves(self, capsys, write_config):
+        tail = ["--n", "6", "--dt", "0.1", "--t-final", "0.2"]
+        nested = write_config(1, q="(" * 50 + "-2*exp(-t)*sin(x)" + ")" * 50)
+        code, nested_out, _ = run_cli(["solve", "--config", nested] + tail, capsys)
+        assert code == 0
+        _, plain_out, _ = run_cli(["solve", "--config", write_config(1)] + tail, capsys)
+        assert nested_out == plain_out
+
     def test_duplicate_key_exit_2(self, capsys, tmp_path, config_texts):
         path = tmp_path / "dup.cfg"
         path.write_text(config_texts[1] + "alpha = 7\n")

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telespline.expr import (
+    MAX_NESTING,
     BinOp,
     Call,
     EvaluationError,
@@ -120,6 +122,33 @@ class TestSyntaxErrors:
         with pytest.raises(UnknownFunctionError):
             parse("y + 1")
 
+    @pytest.mark.parametrize(
+        "opener", ["(", "sin(", "-", "1^"], ids=["parens", "calls", "minus", "power"]
+    )
+    def test_nesting_limit(self, opener):
+        closer = ")" if opener.endswith("(") else ""
+        deep = opener * 150 + "x" + closer * 150
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse(deep)
+        # the construct that would open level MAX_NESTING + 1
+        assert info.value.position == MAX_NESTING * len(opener)
+        assert "levels of nesting" in str(info.value)
+        shallow = opener * 50 + "x" + closer * 50
+        assert math.isfinite(parse(shallow).evaluate(x=0.25))
+
+
+class TestArrays:
+    def test_array_call_broadcasts(self):
+        x = np.linspace(0.0, 1.0, 5)
+        np.testing.assert_array_equal(parse("x^2 + t")(x, 1.0), x**2 + 1.0)
+        assert parse("exp(-t)")(x, 0.0) == 1.0
+        assert np.shape(parse("exp(-t)")(x, 0.0)) == ()
+
+    def test_scalar_call_and_evaluate_agree(self):
+        tree = parse("tan((x + t)/2)")
+        assert tree(1.0, 1.0) == tree.evaluate(x=1.0, t=1.0)
+        assert isinstance(tree.evaluate(x=1.0, t=1.0), float)
+
 
 class TestEvaluationErrors:
     def test_division_by_zero(self):
@@ -145,6 +174,27 @@ class TestEvaluationErrors:
             parse("exp(1000)").evaluate()
         with pytest.raises(EvaluationError):
             parse("10^10000").evaluate()
+
+    def test_operands_of_the_first_offending_element(self):
+        x = np.array([1.0, 3.0, 5.0])
+        with pytest.raises(EvaluationError) as info:
+            parse("1/(x - 3)")(x, 0.0)
+        assert (info.value.operation, info.value.operands) == ("/", (1.0, 0.0))
+        with pytest.raises(EvaluationError) as info:
+            parse("sqrt(2 - x)")(x, 0.0)
+        assert (info.value.operation, info.value.operands) == ("sqrt", (-1.0,))
+        with pytest.raises(EvaluationError) as info:
+            parse("(1 - x)^t")(x, 0.5)
+        assert (info.value.operation, info.value.operands) == ("^", (-2.0, 0.5))
+        with pytest.raises(EvaluationError) as info:
+            parse("exp(300*x)")(x, 0.0)
+        assert (info.value.operation, info.value.operands) == ("exp", (900.0,))
+
+    def test_non_finite_inputs_are_not_errors(self):
+        # math.exp(inf) and math.pow(inf, 2) return inf rather than raising
+        x = np.array([1.0, 2.0])
+        assert np.all(np.isinf(parse("exp(1e308*10*x)")(x, 0.0)))
+        assert np.all(np.isinf(parse("(1e308*10*x)^2")(x, 0.0)))
 
     def test_module_level_evaluate(self):
         assert evaluate(parse("x + t"), x=1.0, t=2.0) == 3.0
@@ -175,3 +225,49 @@ def _trees():
 @given(tree=_trees())
 def test_unparse_parse_round_trip(tree):
     assert parse(str(Expression(tree))).root == tree
+
+
+# random trees over x, t and small constants, for the array/scalar agreement
+def _small_trees():
+    leaves = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]).map(Num),
+        st.sampled_from([Var("x"), Var("t")]),
+    )
+
+    def extend(children):
+        return st.one_of(
+            children.map(Neg),
+            st.tuples(st.sampled_from("+-*/^"), children, children).map(
+                lambda ops: BinOp(ops[0], ops[1], ops[2])
+            ),
+            st.tuples(
+                st.sampled_from(["sin", "cos", "tan", "exp", "sqrt", "abs"]), children
+            ).map(lambda ops: Call(ops[0], ops[1])),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+# 64 points on [-4, 4) in steps of 1/8, so 0 and the integers are hit exactly
+_GRID = np.arange(64) / 8.0 - 4.0
+
+
+def _outcome(function):
+    try:
+        return function()
+    except EvaluationError:
+        return EvaluationError
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_small_trees(), t=st.sampled_from([0.0, -0.75, 0.5, 2.0]))
+def test_array_call_matches_evaluate_elementwise(tree, t):
+    expression = Expression(tree)
+    whole = _outcome(lambda: np.broadcast_to(expression(_GRID, t), _GRID.shape))
+    each = [_outcome(lambda: expression.evaluate(x=float(x), t=t)) for x in _GRID]
+    raised = [value is EvaluationError for value in each]
+    assert (whole is EvaluationError) == any(raised)
+    if whole is not EvaluationError:
+        each = np.array(each)
+        same_bits = whole.view(np.uint64) == each.view(np.uint64)
+        assert np.all(same_bits | (np.isnan(whole) & np.isnan(each)))

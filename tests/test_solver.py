@@ -8,6 +8,7 @@ import pytest
 
 from telespline.basis import UniformMesh, basis_weights, evaluate_solution, knot_values
 from telespline.linalg import SingularSystemError, solve
+from telespline.metrics import error_norms
 from telespline.problem import (
     BoundaryKind,
     BoundarySpec,
@@ -382,3 +383,60 @@ class TestFailureClassification:
         params = SchemeParams(theta=0.5, dt=0.01, t_final=0.05)
         with pytest.raises(ValueError, match="non-finite entries in rhs"):
             run(probe, mesh, params, [0.05])
+
+
+class TestProblemContract:
+    def test_run_refuses_to_march_past_the_horizon(self):
+        p = builtin_problem(2)
+        mesh = UniformMesh(0.0, 2.0, 10)
+        with pytest.raises(ValueError, match="horizon"):
+            run(p, mesh, SchemeParams(theta=0.5, dt=0.1, t_final=1.5), [0.5])
+        # up to t_max itself is fine
+        history = run(p, mesh, SchemeParams(theta=0.5, dt=0.1, t_final=1.0), [1.0])
+        assert history.frames[-1].time == pytest.approx(1.0)
+
+    def test_finite_difference_end_slopes_on_a_fine_mesh(self):
+        # without g1' the end slopes come from central differences of g1; the
+        # step must not shrink with h, or rounding swamps them on fine meshes
+        p = dataclasses.replace(builtin_problem(1), initial_slope=None)
+        mesh = UniformMesh(0.0, math.pi, 10000)
+        frame = initial_coefficients(p, mesh)
+        for x, slope in ((0.0, 1.0), (math.pi, -1.0)):
+            assert abs(evaluate_solution(frame, x, mesh, 1) - slope) < 1e-9
+
+    @pytest.mark.parametrize("level, per_step", [("j", 1), ("theta", 2)])
+    def test_data_are_sampled_once_per_use_on_the_knot_array(self, level, per_step):
+        calls = []
+
+        def counted(name, function):
+            def wrapper(x, *args):
+                calls.append((name, x))
+                return function(x, *args)
+
+            return wrapper
+
+        p = builtin_problem(1)
+        probe = dataclasses.replace(
+            p,
+            **{
+                name: counted(name, getattr(p, name))
+                for name in ("forcing", "initial_value", "initial_velocity", "exact")
+            },
+        )
+        mesh = UniformMesh(0.0, math.pi, 16)
+        steps, dt = 7, 0.01
+        params = SchemeParams(theta=0.5, dt=dt, t_final=steps * dt, forcing_level=level)
+        calls.clear()  # drop the construction-time consistency probe
+        history = run(probe, mesh, params, [steps * dt])
+        names = [name for name, _ in calls]
+        assert names.count("forcing") == per_step * steps
+        assert names.count("initial_value") == 1
+        assert names.count("initial_velocity") == 1
+        assert "exact" not in names
+
+        sampled = len(calls)
+        error_norms(history.frames[-1], probe, mesh)
+        assert [name for name, _ in calls[sampled:]] == ["exact"]
+        for _, x in calls:
+            assert isinstance(x, np.ndarray)
+            assert np.array_equal(x, mesh.knots())
