@@ -2,29 +2,22 @@
 (telegraph) equation u_tt + 2 alpha u_t + beta^2 u = u_xx + q, with Dirichlet
 or Neumann boundary data, a von Neumann stability analyzer, and error-norm
 benchmarking utilities.
+
+The names below are the user-facing API; everything else (knot weights,
+single-step assembly, the linear solvers, stability internals) stays
+importable from its submodule.
 """
 
-from .basis import (
-    BasisValue,
-    BasisWeights,
-    DegenerateMeshError,
-    UniformMesh,
-    basis_weights,
-    eval_basis,
-    eval_basis_all,
-    evaluate_solution,
-    knot_values,
-)
+from .basis import DegenerateMeshError, UniformMesh, evaluate_solution
 from .expr import (
     EvaluationError,
     Expression,
     ExpressionError,
     ExpressionSyntaxError,
     UnknownFunctionError,
-    evaluate,
     parse,
 )
-from .linalg import CornerTridiagonalSystem, SingularSystemError, dense_solve_oracle, solve
+from .linalg import SingularSystemError
 from .metrics import ErrorReport, MissingExactSolutionError, error_norms
 from .problem import (
     BoundaryKind,
@@ -34,33 +27,15 @@ from .problem import (
     builtin_problem,
     validate,
 )
-from .solver import (
-    CoefficientFrame,
-    SchemeParams,
-    SolutionHistory,
-    assemble_step,
-    initial_coefficients,
-    run,
-    step,
-)
-from .stability import (
-    FourierCoefficients,
-    StabilityReport,
-    amplification_roots,
-    fourier_coefficients,
-    routh_hurwitz_conditions,
-    stability_scan,
-)
+from .solver import CoefficientFrame, SchemeParams, SolutionHistory, run
+from .stability import StabilityReport, stability_scan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisValue",
-    "BasisWeights",
     "BoundaryKind",
     "BoundarySpec",
     "CoefficientFrame",
-    "CornerTridiagonalSystem",
     "DegenerateMeshError",
     "Diagnostic",
     "ErrorReport",
@@ -68,7 +43,6 @@ __all__ = [
     "Expression",
     "ExpressionError",
     "ExpressionSyntaxError",
-    "FourierCoefficients",
     "MissingExactSolutionError",
     "SchemeParams",
     "SingularSystemError",
@@ -77,24 +51,11 @@ __all__ = [
     "TelegraphProblem",
     "UniformMesh",
     "UnknownFunctionError",
-    "amplification_roots",
-    "assemble_step",
-    "basis_weights",
     "builtin_problem",
-    "dense_solve_oracle",
     "error_norms",
-    "eval_basis",
-    "eval_basis_all",
-    "evaluate",
     "evaluate_solution",
-    "fourier_coefficients",
-    "initial_coefficients",
-    "knot_values",
     "parse",
-    "routh_hurwitz_conditions",
     "run",
-    "solve",
     "stability_scan",
-    "step",
     "validate",
 ]

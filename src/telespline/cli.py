@@ -41,7 +41,7 @@ from .expr import ExpressionError, parse
 from .linalg import SingularSystemError
 from .metrics import error_norms
 from .problem import BoundaryKind, BoundarySpec, TelegraphProblem, builtin_problem, sample
-from .solver import SchemeParams, SolutionHistory, run
+from .solver import SchemeParams, SolutionHistory, output_steps, run
 from .stability import stability_scan
 
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
@@ -239,34 +239,17 @@ def _emit(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence[st
 
 def _march(
     problem: TelegraphProblem, config: RunConfig
-) -> tuple[UniformMesh, SolutionHistory, dict[int, int]]:
-    """Run the stepping loop; return the mesh, history, and index->frame map."""
+) -> tuple[UniformMesh, SolutionHistory, Sequence[int]]:
+    """Run the stepping loop; return the mesh, the history, and the position
+    in ``history.frames`` of each of ``config.times``."""
     mesh = UniformMesh(problem.domain[0], problem.domain[1], config.n_cells)
     params = SchemeParams(config.theta, config.dt, config.t_final, config.forcing_level)
-    times: Sequence[float] = config.times
-    if config.plot_data is not None:
-        # capture every level so the plot file covers the full space-time grid
-        steps = int((config.t_final + 1e-9) / config.dt)
-        times = [j * config.dt for j in range(steps + 1)]
-        for t in config.times:
-            j = int(round(t / config.dt))
-            if abs(t - j * config.dt) > 1e-9 or j > steps:
-                raise ConfigError(
-                    f"output time {t} is not a multiple of the step {config.dt}"
-                )
-    history = run(problem, mesh, params, times)
-    by_index = {
-        int(round(frame.time / config.dt)): pos
-        for pos, frame in enumerate(history.frames)
-    }
-    return mesh, history, by_index
-
-
-def _frame_at(history: SolutionHistory, by_index: dict[int, int], t: float, dt: float):
-    j = int(round(t / dt))
-    if j not in by_index:
-        raise ConfigError(f"output time {t} is not a multiple of the step {dt}")
-    return history.frames[by_index[j]]
+    if config.plot_data is None:
+        return mesh, run(problem, mesh, params, config.times), range(len(config.times))
+    # capture every level so the plot file covers the full space-time grid
+    positions = output_steps(config.times, params)
+    grid = [j * params.dt for j in range(params.last_step + 1)]
+    return mesh, run(problem, mesh, params, grid), positions
 
 
 def _write_plot_data(
@@ -286,14 +269,14 @@ def _write_plot_data(
 def cmd_solve(config: RunConfig) -> None:
     """Write the solution at the requested times, knot by knot."""
     problem = _load_problem(config)
-    mesh, history, by_index = _march(problem, config)
+    mesh, history, positions = _march(problem, config)
     weights = basis_weights(mesh)
     knots = mesh.knots()
     x_cells = [_format_number(x) for x in knots.tolist()]
 
     rows = []
-    for t in config.times:
-        frame = _frame_at(history, by_index, t, config.dt)
+    for t, pos in zip(config.times, positions):
+        frame = history.frames[pos]
         values = knot_values(frame.values, weights, 0).tolist()
         t_cell = _format_number(t)
         if problem.exact is None:
@@ -322,20 +305,18 @@ def cmd_bench(config: RunConfig) -> None:
             "bench needs an exact solution; use a built-in problem or add an "
             "'exact =' line to the config"
         )
-    mesh, history, by_index = _march(problem, config)
+    mesh, history, positions = _march(problem, config)
 
     rows = []
-    for t in config.times:
-        frame = _frame_at(history, by_index, t, config.dt)
-        report = error_norms(frame, problem, mesh)
-        cpu = history.stepping_seconds[by_index[int(round(t / config.dt))]]
+    for t, pos in zip(config.times, positions):
+        report = error_norms(history.frames[pos], problem, mesh)
         rows.append(
             [
                 _format_number(t),
                 _format_number(report.l2),
                 _format_number(report.l_inf),
                 _format_number(report.rms),
-                _format_number(cpu),
+                _format_number(history.stepping_seconds[pos]),
             ]
         )
 

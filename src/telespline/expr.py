@@ -13,7 +13,9 @@ Grammar (whitespace insignificant, no implicit multiplication):
 Unary minus binds looser than '^', so -x^2 is -(x^2); 2^3^2 is 2^(3^2).
 Numbers are unsigned decimals with optional fraction and exponent.
 Known functions: sin, cos, tan, exp, sqrt, abs.  Parentheses, function
-calls, unary minus and '^' may nest at most ``MAX_NESTING`` levels deep.
+calls, unary minus and '^' may nest at most ``MAX_NESTING`` levels deep, and
+one expression holds at most ``MAX_OPERATORS`` operators, which keeps the
+recursive compile and evaluation within Python's recursion limit.
 
 A parsed :class:`Expression` is compiled once into a tree of closures over
 numpy operations, so ``expression(x, t)`` evaluates it on floats or, with
@@ -47,6 +49,8 @@ _VARIABLES = ("x", "t")
 
 # deepest nesting of parentheses, calls, unary minus and '^' the parser accepts
 MAX_NESTING = 100
+# most operators ('+', '-', '*', '/', '^') one expression may hold
+MAX_OPERATORS = 600
 
 
 class ExpressionError(ValueError):
@@ -156,12 +160,19 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.cursor = 0
         self.depth = 0
+        self.operators = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.cursor]
 
     def advance(self) -> _Token:
         token = self.tokens[self.cursor]
+        if token.kind == "op" and token.text in "+-*/^":
+            # a tree holds at most one node per operator besides the calls,
+            # which the nesting limit bounds, so this bounds its depth too
+            if self.operators == MAX_OPERATORS:
+                self.fail((f"at most {MAX_OPERATORS} operators",))
+            self.operators += 1
         self.cursor += 1
         return token
 
@@ -397,7 +408,3 @@ def parse(source: str) -> Expression:
     """Parse source text into an :class:`Expression`."""
     return Expression(_Parser(source).parse())
 
-
-def evaluate(expression: Expression, x: float = 0.0, t: float = 0.0) -> float:
-    """Evaluate a parsed expression at the point (x, t)."""
-    return expression.evaluate(x, t)

@@ -24,16 +24,23 @@ the diagonal and +2 k g2(x_i) on the right-hand side.
 The initial coefficient vector interpolates g1 at all knots and matches
 g1' at both ends (for either boundary kind), which closes the system.
 
-The step matrix depends on the step only through the ghost-level +1, so
-:func:`run` builds and factors it twice per run: once for the first step
-and once, on the second step, for every later one.  Each step then builds
-just its right-hand side and solves with the kept factor
-(:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).  Problem
-data are sampled as arrays: every data callable is called once per use with
-the whole knot array (see :class:`telespline.problem.TelegraphProblem`), so
-a step costs one forcing call (two with theta-blended forcing).
-:func:`assemble_step` and :func:`step` build and solve a single step on
-its own with the same arithmetic, so they reproduce :func:`run` exactly.
+One builder, :func:`_collocation_matrix`, writes every matrix: knot rows
+``value_weight * U - curvature_weight * U_xx`` between the two boundary
+rows of one kind.  The initial fit is (1, 0, Neumann), since its g1' end
+rows are the Neumann rows; a step is (lambda, k^2 theta, the problem's
+kind), where lambda = 1 + 2 alpha k + k^2 theta beta^2 gains the ghost-level
++1 on the first step.  The step matrix therefore depends on the step only
+through that +1, so :func:`run` builds and factors it twice per run: once
+for the first step and once, on the second step, for every later one.
+Each step then builds just its right-hand side and solves with the kept
+factor (:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).
+Problem data are sampled as arrays: every data callable is called once per
+use with the whole knot array (see
+:class:`telespline.problem.TelegraphProblem`), so a step costs one forcing
+call (two with theta-blended forcing).  :func:`initial_coefficients` and
+:func:`assemble_step` build the fit and a single step's system on their own
+with the same arithmetic, so solving them reproduces :func:`run` exactly.
+:func:`output_steps` is the one rule for which output times a run accepts.
 """
 
 from __future__ import annotations
@@ -82,6 +89,11 @@ class SchemeParams:
             )
 
     @property
+    def last_step(self) -> int:
+        """Index of the last step level within t_final (to 1e-9)."""
+        return int((self.t_final + _TIME_ALIGN_TOL) / self.dt)
+
+    @property
     def stability_warning(self) -> bool:
         """True when theta is below the unconditionally stable range."""
         return self.theta < 0.5
@@ -118,71 +130,63 @@ def _end_slopes(problem: TelegraphProblem, mesh: UniformMesh) -> np.ndarray:
     return central_slope(problem.initial_value, ends, slope_step(ends))
 
 
-def _fit_initial(
-    problem: TelegraphProblem, mesh: UniformMesh, w: BasisWeights, knots: np.ndarray
-) -> CoefficientFrame:
-    n = mesh.n_cells + 3
-    sub = np.empty(n - 1)
-    diag = np.empty(n)
-    sup = np.empty(n - 1)
-    rhs = np.empty(n)
-
-    sub[: n - 2] = w.a1
-    diag[1 : n - 1] = w.a2
-    sup[1:] = w.a1
-    rhs[1 : n - 1] = sample(problem.initial_value, knots)
-    rhs[0], rhs[n - 1] = _end_slopes(problem, mesh)
-
-    diag[0] = w.a3
-    sup[0] = 0.0
-    corner_top = w.a4
-
-    corner_bottom = w.a3
-    sub[n - 2] = 0.0
-    diag[n - 1] = w.a4
-
-    system = CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, rhs)
-    return CoefficientFrame(values=solve(system), time=0.0)
-
-
-def initial_coefficients(problem: TelegraphProblem, mesh: UniformMesh) -> CoefficientFrame:
-    """Fit the initial profile: g1 at every knot, g1' at both ends."""
-    return _fit_initial(problem, mesh, basis_weights(mesh), mesh.knots())
-
-
-def _step_matrix(
-    problem: TelegraphProblem,
-    mesh: UniformMesh,
-    params: SchemeParams,
+def _collocation_matrix(
     w: BasisWeights,
-    first_step: bool,
+    n_cells: int,
+    value_weight: float,
+    curvature_weight: float,
+    kind: BoundaryKind,
 ) -> CornerTridiagonalSystem:
-    """The step's matrix, with a zero right-hand side.
+    """The band of every system in this module, with a zero right-hand side.
 
-    It depends on the step only through ``first_step``.
+    Each knot's row collocates ``value_weight * U - curvature_weight * U_xx``;
+    the first and last rows are the boundary rows of ``kind``: U at the ends
+    for Dirichlet, U_x (the same rows as the fit's g1' rows) for Neumann.
     """
-    k = params.dt
-    theta = params.theta
-    lam = 1.0 + 2.0 * problem.alpha * k + k * k * theta * problem.beta**2
-    if first_step:
-        lam += 1.0
-    inner_lo = lam * w.a1 - k * k * theta * w.a5
-    inner_mid = lam * w.a2 - k * k * theta * w.a6
+    lo = value_weight * w.a1 - curvature_weight * w.a5
+    mid = value_weight * w.a2 - curvature_weight * w.a6
 
-    n = mesh.n_cells + 3
-    sub = np.empty(n - 1)
-    diag = np.empty(n)
-    sup = np.empty(n - 1)
-    sub[: n - 2] = inner_lo
-    diag[1 : n - 1] = inner_mid
-    sup[1:] = inner_lo
-    if problem.boundary.kind is BoundaryKind.DIRICHLET:
+    n = n_cells + 3
+    sub = np.full(n - 1, lo)
+    diag = np.full(n, mid)
+    sup = np.full(n - 1, lo)
+    if kind is BoundaryKind.DIRICHLET:
         diag[0], sup[0], corner_top = w.a1, w.a2, w.a1
         corner_bottom, sub[n - 2], diag[n - 1] = w.a1, w.a2, w.a1
     else:
         diag[0], sup[0], corner_top = w.a3, 0.0, w.a4
         corner_bottom, sub[n - 2], diag[n - 1] = w.a3, 0.0, w.a4
     return CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, np.zeros(n))
+
+
+def _step_weights(
+    problem: TelegraphProblem, params: SchemeParams, first_step: bool
+) -> tuple[float, float]:
+    """The step's (value_weight, curvature_weight): lambda and k^2 theta.
+
+    The ghost level adds 1 to lambda on the first step.
+    """
+    k = params.dt
+    curvature = k * k * params.theta
+    lam = 1.0 + 2.0 * problem.alpha * k + curvature * problem.beta**2
+    if first_step:
+        lam += 1.0
+    return lam, curvature
+
+
+def _fit_initial(
+    problem: TelegraphProblem, mesh: UniformMesh, w: BasisWeights, knots: np.ndarray
+) -> CoefficientFrame:
+    rhs = np.empty(mesh.n_cells + 3)
+    rhs[1:-1] = sample(problem.initial_value, knots)
+    rhs[0], rhs[-1] = _end_slopes(problem, mesh)
+    matrix = _collocation_matrix(w, mesh.n_cells, 1.0, 0.0, BoundaryKind.NEUMANN)
+    return CoefficientFrame(values=solve(replace(matrix, rhs=rhs)), time=0.0)
+
+
+def initial_coefficients(problem: TelegraphProblem, mesh: UniformMesh) -> CoefficientFrame:
+    """Fit the initial profile: g1 at every knot, g1' at both ends."""
+    return _fit_initial(problem, mesh, basis_weights(mesh), mesh.knots())
 
 
 def _step_rhs(
@@ -242,22 +246,36 @@ def assemble_step(
     replaces it).
     """
     w = basis_weights(mesh)
+    weights = _step_weights(problem, params, first_step)
+    matrix = _collocation_matrix(w, mesh.n_cells, *weights, problem.boundary.kind)
     rhs = _step_rhs(problem, params, w, mesh.knots(), current, previous, t_j, first_step)
-    return replace(_step_matrix(problem, mesh, params, w, first_step), rhs=rhs)
+    return replace(matrix, rhs=rhs)
 
 
-def step(
-    problem: TelegraphProblem,
-    mesh: UniformMesh,
-    params: SchemeParams,
-    current: CoefficientFrame,
-    previous: CoefficientFrame,
-    t_j: float,
-    first_step: bool = False,
-) -> CoefficientFrame:
-    """Advance one time level."""
-    system = assemble_step(problem, mesh, params, current, previous, t_j, first_step)
-    return CoefficientFrame(values=solve(system), time=t_j + params.dt)
+def output_steps(times: Sequence[float], params: SchemeParams) -> list[int]:
+    """The step index j of each output time t = j * dt.
+
+    Each time must lie within 1e-9 of a step level in [0, t_final] (the
+    levels 0 .. ``params.last_step``), and the times must be strictly
+    increasing; otherwise ``ValueError``.
+    """
+    times = [float(t) for t in times]
+    if not times:
+        raise ValueError("at least one output time is required")
+    steps: list[int] = []
+    for t in times:
+        j = int(round(t / params.dt))
+        inside = -_TIME_ALIGN_TOL <= t <= params.t_final + _TIME_ALIGN_TOL
+        if not inside or not 0 <= j <= params.last_step:
+            raise ValueError(f"output time {t} outside [0, {params.t_final}]")
+        if abs(t - j * params.dt) > _TIME_ALIGN_TOL:
+            raise ValueError(
+                f"output time {t} is not a multiple of the step {params.dt}"
+            )
+        steps.append(j)
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"output times must be strictly increasing, got {times}")
+    return steps
 
 
 def run(
@@ -268,31 +286,15 @@ def run(
 ) -> SolutionHistory:
     """March from t = 0 and capture the requested output times.
 
-    Every output time must sit on a step boundary (a multiple of dt within
-    1e-9) inside [0, t_final], and t_final must not pass the problem's
-    ``t_max``.
+    The output times follow :func:`output_steps`, and t_final must not pass
+    the problem's ``t_max``.
     """
     if problem.t_max is not None and params.t_final > problem.t_max + 1e-12:
         raise ValueError(
             f"t_final = {params.t_final} exceeds the problem's validity horizon "
             f"t <= {problem.t_max} (the data degenerates beyond it)"
         )
-    times = [float(t) for t in output_times]
-    if not times:
-        raise ValueError("at least one output time is required")
-    indices: list[int] = []
-    for t in times:
-        if t < -_TIME_ALIGN_TOL or t > params.t_final + _TIME_ALIGN_TOL:
-            raise ValueError(f"output time {t} outside [0, {params.t_final}]")
-        j = int(round(t / params.dt))
-        if abs(t - j * params.dt) > _TIME_ALIGN_TOL:
-            raise ValueError(
-                f"output time {t} is not a multiple of the step {params.dt}"
-            )
-        indices.append(j)
-    if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"output times must be strictly increasing, got {times}")
-
+    indices = output_steps(output_times, params)
     wanted = set(indices)
     last = indices[-1]
     frames: list[CoefficientFrame] = []
@@ -316,8 +318,9 @@ def run(
             # step 0 has its own matrix and every later step shares one; the
             # first-step factor is released before the second is built
             factor = None
+            weights = _step_weights(problem, params, first_step)
             factor = CornerTridiagonalFactor(
-                _step_matrix(problem, mesh, params, w, first_step)
+                _collocation_matrix(w, mesh.n_cells, *weights, problem.boundary.kind)
             )
         t_j = j * params.dt
         rhs = _step_rhs(problem, params, w, knots, current, previous, t_j, first_step)

@@ -138,6 +138,24 @@ class TestSolve:
         assert len(rows) == 6 * 9  # levels 0.0 .. 0.5 by 0.1, nine knots each
         assert out_file.exists()
 
+    def test_plot_data_leaves_the_main_output_unchanged(self, capsys, tmp_path):
+        args = [
+            "solve",
+            "--problem", "5",
+            "--n", "12",
+            "--dt", "0.05",
+            "--t-final", "0.5",
+            "--times", "0,0.15,0.45",
+        ]
+        code, plain, _ = run_cli(args, capsys)
+        assert code == 0
+        plot = tmp_path / "grid.csv"
+        code, with_plot, _ = run_cli(args + ["--emit-plot-data", str(plot)], capsys)
+        assert code == 0
+        assert with_plot == plain
+        _, rows = split_rows(plot.read_text())
+        assert len(rows) == 11 * 13
+
 
 class TestBench:
     def test_header_and_zero_start(self, capsys):
@@ -259,6 +277,15 @@ class TestConfigFiles:
         )
         assert code == 2 and out == ""
         assert "q" in err and "levels of nesting" in err
+
+    def test_long_flat_chain_exit_2(self, capsys, write_config):
+        path = write_config(1, q="-2*exp(-t)*sin(x)" + "+0*x" * 1500)
+        code, out, err = run_cli(
+            ["solve", "--config", path, "--n", "6", "--dt", "0.1", "--t-final", "0.2"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "q" in err and "operators" in err
 
     def test_moderately_nested_expression_solves(self, capsys, write_config):
         tail = ["--n", "6", "--dt", "0.1", "--t-final", "0.2"]
@@ -408,6 +435,26 @@ class TestExitCodes:
         )
         assert code == 2
         assert "multiple" in err
+
+    @pytest.mark.parametrize(
+        "times, fragment", [("0.35", "multiple"), ("0.7", "outside")]
+    )
+    def test_plot_mode_checks_times_like_run(self, capsys, tmp_path, times, fragment):
+        code, out, err = run_cli(
+            [
+                "solve",
+                "--problem", "1",
+                "--n", "6",
+                "--dt", "0.1",
+                "--t-final", "0.5",
+                "--times", times,
+                "--emit-plot-data", str(tmp_path / "grid.csv"),
+            ],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert fragment in err
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_nonpositive_step(self, capsys):
         code, _, err = run_cli(

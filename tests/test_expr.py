@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from telespline.expr import (
     MAX_NESTING,
+    MAX_OPERATORS,
     BinOp,
     Call,
     EvaluationError,
@@ -18,7 +19,6 @@ from telespline.expr import (
     Num,
     UnknownFunctionError,
     Var,
-    evaluate,
     parse,
 )
 
@@ -136,6 +136,25 @@ class TestSyntaxErrors:
         shallow = opener * 50 + "x" + closer * 50
         assert math.isfinite(parse(shallow).evaluate(x=0.25))
 
+    def test_operator_limit(self):
+        # a flat chain is not nested, but compiling and evaluating it recurse
+        # once per operator
+        longest = "x" + "+x" * MAX_OPERATORS
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse(longest + "+x")
+        assert info.value.position == len(longest)
+        assert f"at most {MAX_OPERATORS} operators" in str(info.value)
+        x = np.linspace(0.0, 1.0, 7)
+        np.testing.assert_allclose(
+            parse(longest)(x, 0.0), (MAX_OPERATORS + 1) * x, rtol=1e-13
+        )
+        # a 500-term chain adds left to right, exactly as numpy does
+        terms = ["x" if k % 2 else f"{k}e-3" for k in range(1, 501)]
+        expected = x
+        for term in terms[1:]:
+            expected = expected + (x if term == "x" else float(term))
+        assert parse("+".join(terms))(x, 0.0).tobytes() == expected.tobytes()
+
 
 class TestArrays:
     def test_array_call_broadcasts(self):
@@ -195,9 +214,6 @@ class TestEvaluationErrors:
         x = np.array([1.0, 2.0])
         assert np.all(np.isinf(parse("exp(1e308*10*x)")(x, 0.0)))
         assert np.all(np.isinf(parse("(1e308*10*x)^2")(x, 0.0)))
-
-    def test_module_level_evaluate(self):
-        assert evaluate(parse("x + t"), x=1.0, t=2.0) == 3.0
 
 
 # random expression trees; literals are nonnegative so '-' only appears as Neg

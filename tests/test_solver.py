@@ -21,7 +21,6 @@ from telespline.solver import (
     assemble_step,
     initial_coefficients,
     run,
-    step,
 )
 
 
@@ -131,7 +130,10 @@ class TestStepping:
         mesh = UniformMesh(0.0, math.pi, 40)
         params = SchemeParams(theta=0.5, dt=1e-5, t_final=1e-5)
         frame0 = initial_coefficients(p, mesh)
-        frame1 = step(p, mesh, params, frame0, frame0, 0.0, first_step=True)
+        frame1 = CoefficientFrame(
+            solve(assemble_step(p, mesh, params, frame0, frame0, 0.0, first_step=True)),
+            0.0 + params.dt,
+        )
         assert frame1.time == pytest.approx(1e-5)
         assert knot_errors(frame1, p, mesh) < 1e-12
 
@@ -323,6 +325,12 @@ class TestRunContract:
         with pytest.raises(ValueError, match="outside"):
             run(self.p, self.mesh, self.params, [2.0])
 
+    def test_time_rounding_to_a_negative_step_rejected(self):
+        # within 1e-9 of 0, but on the step before it when dt is tiny
+        params = SchemeParams(theta=0.5, dt=1e-9, t_final=1e-8)
+        with pytest.raises(ValueError, match="outside"):
+            run(self.p, self.mesh, params, [-1e-9])
+
     def test_unsorted_times_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             run(self.p, self.mesh, self.params, [0.5, 0.2])
@@ -335,7 +343,8 @@ class TestRunMatchesStepping:
     @pytest.mark.parametrize("level", ["j", "theta"])
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_frames_match_a_loop_of_step(self, pid, level, theta):
-        # run() factors each step matrix once; step() assembles and solves anew
+        # run() factors each step matrix once; here every step is assembled
+        # and factored anew
         p = builtin_problem(pid)
         mesh = UniformMesh(p.domain[0], p.domain[1], 24)
         dt, steps = 0.01, 12
@@ -345,7 +354,8 @@ class TestRunMatchesStepping:
         previous = current = initial_coefficients(p, mesh)
         expected = [current]
         for j in range(steps):
-            advanced = step(p, mesh, params, current, previous, j * dt, first_step=(j == 0))
+            system = assemble_step(p, mesh, params, current, previous, j * dt, first_step=(j == 0))
+            advanced = CoefficientFrame(solve(system), j * dt + dt)
             previous, current = current, advanced
             expected.append(advanced)
 
