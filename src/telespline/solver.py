@@ -37,9 +37,10 @@ factor (:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).
 Problem data are sampled as arrays: every data callable is called once per
 use with the whole knot array (see
 :class:`telespline.problem.TelegraphProblem`), so a step costs one forcing
-call (two with theta-blended forcing).  :func:`initial_coefficients` and
-:func:`assemble_step` build the fit and a single step's system on their own
-with the same arithmetic, so solving them reproduces :func:`run` exactly.
+call (two with theta-blended forcing).  :func:`initial_coefficients`,
+:func:`assemble_step` and :func:`step` build the fit, a single step's system
+and its solution on their own with the same arithmetic, so they reproduce
+:func:`run` exactly.
 :func:`output_steps` is the one rule for which output times a run accepts.
 """
 
@@ -252,6 +253,20 @@ def assemble_step(
     return replace(matrix, rhs=rhs)
 
 
+def step(
+    problem: TelegraphProblem,
+    mesh: UniformMesh,
+    params: SchemeParams,
+    current: CoefficientFrame,
+    previous: CoefficientFrame,
+    t_j: float,
+    first_step: bool = False,
+) -> CoefficientFrame:
+    """Advance one time level by solving :func:`assemble_step`'s system."""
+    system = assemble_step(problem, mesh, params, current, previous, t_j, first_step)
+    return CoefficientFrame(values=solve(system), time=t_j + params.dt)
+
+
 def output_steps(times: Sequence[float], params: SchemeParams) -> list[int]:
     """The step index j of each output time t = j * dt.
 
@@ -266,12 +281,12 @@ def output_steps(times: Sequence[float], params: SchemeParams) -> list[int]:
     for t in times:
         j = int(round(t / params.dt))
         inside = -_TIME_ALIGN_TOL <= t <= params.t_final + _TIME_ALIGN_TOL
-        if not inside or not 0 <= j <= params.last_step:
-            raise ValueError(f"output time {t} outside [0, {params.t_final}]")
-        if abs(t - j * params.dt) > _TIME_ALIGN_TOL:
+        if inside and abs(t - j * params.dt) > _TIME_ALIGN_TOL:
             raise ValueError(
                 f"output time {t} is not a multiple of the step {params.dt}"
             )
+        if not inside or not 0 <= j <= params.last_step:
+            raise ValueError(f"output time {t} outside [0, {params.t_final}]")
         steps.append(j)
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"output times must be strictly increasing, got {times}")

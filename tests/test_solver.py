@@ -21,6 +21,7 @@ from telespline.solver import (
     assemble_step,
     initial_coefficients,
     run,
+    step,
 )
 
 
@@ -130,10 +131,7 @@ class TestStepping:
         mesh = UniformMesh(0.0, math.pi, 40)
         params = SchemeParams(theta=0.5, dt=1e-5, t_final=1e-5)
         frame0 = initial_coefficients(p, mesh)
-        frame1 = CoefficientFrame(
-            solve(assemble_step(p, mesh, params, frame0, frame0, 0.0, first_step=True)),
-            0.0 + params.dt,
-        )
+        frame1 = step(p, mesh, params, frame0, frame0, 0.0, first_step=True)
         assert frame1.time == pytest.approx(1e-5)
         assert knot_errors(frame1, p, mesh) < 1e-12
 
@@ -331,6 +329,12 @@ class TestRunContract:
         with pytest.raises(ValueError, match="outside"):
             run(self.p, self.mesh, params, [-1e-9])
 
+    def test_off_grid_final_time_is_misaligned_not_outside(self):
+        # 0.37 rounds to step 4, past the last level 3, yet lies inside [0, T]
+        params = SchemeParams(theta=0.5, dt=0.1, t_final=0.37)
+        with pytest.raises(ValueError, match="multiple"):
+            run(self.p, self.mesh, params, [0.37])
+
     def test_unsorted_times_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             run(self.p, self.mesh, self.params, [0.5, 0.2])
@@ -343,8 +347,7 @@ class TestRunMatchesStepping:
     @pytest.mark.parametrize("level", ["j", "theta"])
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_frames_match_a_loop_of_step(self, pid, level, theta):
-        # run() factors each step matrix once; here every step is assembled
-        # and factored anew
+        # run() factors each step matrix once; step() assembles and solves anew
         p = builtin_problem(pid)
         mesh = UniformMesh(p.domain[0], p.domain[1], 24)
         dt, steps = 0.01, 12
@@ -354,8 +357,7 @@ class TestRunMatchesStepping:
         previous = current = initial_coefficients(p, mesh)
         expected = [current]
         for j in range(steps):
-            system = assemble_step(p, mesh, params, current, previous, j * dt, first_step=(j == 0))
-            advanced = CoefficientFrame(solve(system), j * dt + dt)
+            advanced = step(p, mesh, params, current, previous, j * dt, first_step=(j == 0))
             previous, current = current, advanced
             expected.append(advanced)
 
