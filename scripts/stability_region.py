@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from telespline import UniformMesh, stability_scan
+from telespline import UniformMesh, stability_scan, stability_sweep
 
 
 def main():
@@ -29,10 +29,8 @@ def main():
     header = "          " + " ".join(f"{t:4.2f}" for t in thetas)
     print(header)
     for dt in steps:
-        cells = []
-        for theta in thetas:
-            report = stability_scan(args.alpha, args.beta, float(theta), dt, mesh)
-            cells.append("  . " if report.stable else "  # ")
+        reports = stability_sweep(args.alpha, args.beta, thetas, dt, mesh)
+        cells = ["  . " if report.stable else "  # " for report in reports]
         print(f"dt={dt:<7g}" + " ".join(cells))
 
     # the boundary of exact marginal stability: theta = 1/2 with no damping

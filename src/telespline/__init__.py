@@ -28,7 +28,7 @@ from .problem import (
     validate,
 )
 from .solver import CoefficientFrame, SchemeParams, SolutionHistory, run
-from .stability import StabilityReport, stability_scan
+from .stability import StabilityReport, stability_scan, stability_sweep
 
 __version__ = "0.1.0"
 
@@ -57,5 +57,6 @@ __all__ = [
     "parse",
     "run",
     "stability_scan",
+    "stability_sweep",
     "validate",
 ]

@@ -42,7 +42,7 @@ from .linalg import SingularSystemError
 from .metrics import error_norms
 from .problem import BoundaryKind, BoundarySpec, TelegraphProblem, builtin_problem, sample
 from .solver import SchemeParams, SolutionHistory, output_steps, run
-from .stability import stability_scan
+from .stability import stability_sweep
 
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
 
@@ -75,7 +75,7 @@ class RunConfig:
     dt: float
     theta: float
     t_final: float
-    times: tuple[float, ...]
+    times: Optional[tuple[float, ...]]  # None: t_final, or the last step level before it
     fmt: str
     output: Optional[str]
     forcing_level: str
@@ -239,17 +239,18 @@ def _emit(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence[st
 
 def _march(
     problem: TelegraphProblem, config: RunConfig
-) -> tuple[UniformMesh, SolutionHistory, Sequence[int]]:
-    """Run the stepping loop; return the mesh, the history, and the position
-    in ``history.frames`` of each of ``config.times``."""
+) -> tuple[UniformMesh, SolutionHistory, Sequence[float], Sequence[int]]:
+    """Run the stepping loop; return the mesh, the history, the output times,
+    and the position in ``history.frames`` of each output time."""
     mesh = UniformMesh(problem.domain[0], problem.domain[1], config.n_cells)
     params = SchemeParams(config.theta, config.dt, config.t_final, config.forcing_level)
+    times = config.times if config.times is not None else (params.last_time,)
     if config.plot_data is None:
-        return mesh, run(problem, mesh, params, config.times), range(len(config.times))
+        return mesh, run(problem, mesh, params, times), times, range(len(times))
     # capture every level so the plot file covers the full space-time grid
-    positions = output_steps(config.times, params)
+    positions = output_steps(times, params)
     grid = [j * params.dt for j in range(params.last_step + 1)]
-    return mesh, run(problem, mesh, params, grid), positions
+    return mesh, run(problem, mesh, params, grid), times, positions
 
 
 def _write_plot_data(
@@ -269,13 +270,13 @@ def _write_plot_data(
 def cmd_solve(config: RunConfig) -> None:
     """Write the solution at the requested times, knot by knot."""
     problem = _load_problem(config)
-    mesh, history, positions = _march(problem, config)
+    mesh, history, times, positions = _march(problem, config)
     weights = basis_weights(mesh)
     knots = mesh.knots()
     x_cells = [_format_number(x) for x in knots.tolist()]
 
     rows = []
-    for t, pos in zip(config.times, positions):
+    for t, pos in zip(times, positions):
         frame = history.frames[pos]
         values = knot_values(frame.values, weights, 0).tolist()
         t_cell = _format_number(t)
@@ -305,10 +306,10 @@ def cmd_bench(config: RunConfig) -> None:
             "bench needs an exact solution; use a built-in problem or add an "
             "'exact =' line to the config"
         )
-    mesh, history, positions = _march(problem, config)
+    mesh, history, times, positions = _march(problem, config)
 
     rows = []
-    for t, pos in zip(config.times, positions):
+    for t, pos in zip(times, positions):
         report = error_norms(history.frames[pos], problem, mesh)
         rows.append(
             [
@@ -331,11 +332,9 @@ def cmd_stability(args: argparse.Namespace) -> None:
     mesh = UniformMesh(domain[0], domain[1], args.n)
     thetas = _parse_sweep(args.sweep) if args.sweep else [args.theta]
 
+    reports = stability_sweep(args.alpha, args.beta, thetas, args.dt, mesh, args.phi_samples)
     rows = []
-    for theta in thetas:
-        report = stability_scan(
-            args.alpha, args.beta, theta, args.dt, mesh, args.phi_samples
-        )
+    for theta, report in zip(thetas, reports):
         rh1, rh2, rh3 = report.rh_conditions
         rows.append(
             [
@@ -362,7 +361,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float, default=0.5, help="implicitness weight (default 0.5)")
     parser.add_argument("--t-final", type=float, required=True, help="time horizon")
     parser.add_argument(
-        "--times", help="comma-separated output times (default: t-final only)"
+        "--times",
+        help="comma-separated output times (default: t-final, or the last step before it)",
     )
     parser.add_argument(
         "--forcing-level",
@@ -412,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    times = _parse_times(args.times) if args.times else (args.t_final,)
+    times = _parse_times(args.times) if args.times else None
     return RunConfig(
         problem_id=args.problem,
         config_path=args.config,

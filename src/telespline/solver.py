@@ -95,6 +95,13 @@ class SchemeParams:
         return int((self.t_final + _TIME_ALIGN_TOL) / self.dt)
 
     @property
+    def last_time(self) -> float:
+        """Time of level ``last_step``: t_final itself when it lies on that
+        level (to 1e-9), else ``last_step * dt``."""
+        end = self.last_step * self.dt
+        return self.t_final if abs(self.t_final - end) <= _TIME_ALIGN_TOL else end
+
+    @property
     def stability_warning(self) -> bool:
         """True when theta is below the unconditionally stable range."""
         return self.theta < 0.5

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,40 @@ class TestSolve:
         _, rows = split_rows(out)
         assert len(rows) == 9
         assert all(float(row[1]) == 0.3 for row in rows)
+
+    def test_off_grid_t_final_outputs_the_last_level(self, capsys):
+        # 0.35 falls between levels 3 and 4 of dt = 0.1: without --times the
+        # output is level 3, the last one within the horizon
+        code, out, err = run_cli(
+            ["solve", "--problem", "1", "--n", "10", "--dt", "0.1", "--t-final", "0.35"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        _, rows = split_rows(out)
+        assert {row[1] for row in rows} == {format(3 * 0.1, ".17g")}
+        code, on_grid, _ = run_cli(
+            ["solve", "--problem", "1", "--n", "10", "--dt", "0.1", "--t-final", "0.3"],
+            capsys,
+        )
+        assert code == 0
+        assert [(row[0], row[2]) for row in rows] == [
+            (row[0], row[2]) for row in split_rows(on_grid)[1]
+        ]
+
+    def test_off_grid_t_final_with_plot_data(self, capsys, tmp_path):
+        plot = tmp_path / "grid.csv"
+        code, out, err = run_cli(
+            [
+                "solve", "--problem", "3", "--n", "8", "--dt", "0.1", "--t-final", "0.37",
+                "--emit-plot-data", str(plot),
+            ],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        _, rows = split_rows(out)
+        _, plot_rows = split_rows(plot.read_text())
+        assert len(plot_rows) == 4 * 9  # levels 0 .. 3
+        assert [(r[0], r[1], r[2]) for r in rows] == [tuple(r) for r in plot_rows[-9:]]
 
     def test_times_are_sorted_and_deduplicated(self, capsys):
         code, out, _ = run_cli(
@@ -383,6 +418,40 @@ class TestStability:
             capsys,
         )
         assert code == 0
+
+    def test_sweep_rows_equal_single_theta_runs(self, capsys):
+        flags = ["stability", "--alpha", "2", "--beta", "0.5", "--dt", "0.3", "--n", "7"]
+        code, out, _ = run_cli(flags + ["--sweep", "theta=0:1:0.07"], capsys)
+        assert code == 0
+        header, lines = out.split("\n", 1)
+        rows = lines.splitlines()
+        assert len(rows) == 15
+        for row in rows:
+            code, single, _ = run_cli(flags + ["--theta", row.split(",")[0]], capsys)
+            assert code == 0
+            assert single == header + "\n" + row + "\n"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--dt", "1e160", "--theta", "0.5"], ["--dt", "1e154", "--sweep", "theta=0:1:0.25"]],
+    )
+    def test_overflowing_coefficients_exit_2(self, capsys, extra):
+        code, out, err = run_cli(
+            ["stability", "--alpha", "1", "--beta", "1", "--n", "40"] + extra, capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: dt = ")
+
+    def test_overflow_in_the_scan_writes_no_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["stability", "--alpha", "1", "--beta", "1", "--dt", "1e80", "--n", "40"],
+                capsys,
+            )
+        assert code == 0 and err == ""
+        _, rows = split_rows(out)
+        assert rows[0][1] == "inf" and rows[0][6] == "unstable"
 
     @pytest.mark.parametrize(
         "extra",

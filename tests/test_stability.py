@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from telespline.basis import UniformMesh, basis_weights
 from telespline.stability import (
+    _BLOCK_POINTS,
     FourierCoefficients,
+    _max_amplification_grid,
     amplification_roots,
     fourier_coefficients,
     routh_hurwitz_conditions,
     stability_scan,
+    stability_sweep,
 )
 
 MESH = UniformMesh(0.0, math.pi, 20)
@@ -181,3 +184,136 @@ class TestScan:
         report = stability_scan(alpha, beta, theta, dt, MESH, phi_samples=181)
         assert report.stable
         assert all(v >= -1e-9 for v in report.rh_conditions)
+
+
+def reference_amplification(a, b, c):
+    """|delta|max at one phi by scalar formulas: inf for a degenerate lead,
+    sqrt(C/A) for a complex pair, the larger real root modulus otherwise."""
+    if abs(a) < 1e-14:
+        return math.inf
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return math.sqrt(max(c / a, 0.0))
+    sq = math.sqrt(disc)
+    q = (b + (sq if b >= 0.0 else -sq)) / 2.0
+    if q == 0.0:
+        return 0.0
+    return max(abs(q / a), abs(c / q))
+
+
+def reference_scan(alpha, beta, theta, dt, mesh, phi_samples):
+    """One theta, one phi at a time, in Python floats."""
+    fc = fourier_coefficients(alpha, beta, theta, dt, basis_weights(mesh))
+    phis = np.linspace(0.0, math.pi, phi_samples)
+    amps = [
+        reference_amplification(
+            fc.w2 + 2.0 * fc.w1 * cos, fc.w4 + 2.0 * fc.w3 * cos, fc.a2 + 2.0 * fc.a1 * cos
+        )
+        for cos in np.cos(phis).tolist()
+    ]
+    worst = max(range(phi_samples), key=amps.__getitem__)  # first maximum
+    a, b, c = fc.w2 - 2.0 * fc.w1, fc.w4 - 2.0 * fc.w3, fc.a2 - 2.0 * fc.a1
+    return amps[worst], float(phis[worst]), (a + b + c, a - c, a - b + c)
+
+
+class TestSweep:
+    @given(
+        alpha=st.floats(0.0, 10.0),
+        beta=st.floats(0.0, 5.0),
+        log_dt=st.floats(-4.0, 1.0),
+        phi_samples=st.sampled_from([2, 3, 181, 721]),
+        length=st.sampled_from(["one", "rows-1", "rows", "rows+1", "ragged"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_single_scans_bit_for_bit(
+        self, alpha, beta, log_dt, phi_samples, length, seed
+    ):
+        dt = 10.0**log_dt
+        rows = _BLOCK_POINTS // phi_samples
+        count = {"one": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1}.get(
+            length, 2 * rows + 3
+        )
+        thetas = np.random.default_rng(seed).uniform(0.0, 1.0, count)
+        thetas[:: max(1, count // 3)] = 0.5  # the stability boundary shows up too
+        reports = stability_sweep(alpha, beta, thetas, dt, MESH, phi_samples)
+        assert len(reports) == count
+        # the scalar reference is slow in Python: check the rows at block
+        # edges and a spread of the others
+        edges = {0, rows - 1, rows, 2 * rows - 1, 2 * rows, count - 1}
+        spread = range(0, count, max(1, count // 25))
+        for i in sorted(i for i in edges.union(spread) if i < count):
+            theta = float(thetas[i])
+            assert reports[i] == stability_scan(alpha, beta, theta, dt, MESH, phi_samples)
+            max_amp, worst_phi, rh = reference_scan(alpha, beta, theta, dt, MESH, phi_samples)
+            assert reports[i].max_amplification == max_amp
+            assert reports[i].worst_phi == worst_phi
+            assert reports[i].rh_conditions == rh
+            assert reports[i].stable == (max_amp <= 1.0 + 1e-12)
+            fc = fourier_coefficients(alpha, beta, theta, dt, WEIGHTS)
+            root_max = max(abs(r) for r in amplification_roots(fc, worst_phi))
+            assert abs(max_amp - root_max) <= 1e-12
+
+    def test_grid_branches_match_the_scalar_formulas(self):
+        # rows chosen directly: double zero root (q = 0), pure imaginary pair,
+        # double unit root, a double root 0.1 where disc = 0 exactly but
+        # sqrt(C/A) and the real-root formula differ in the last bit,
+        # degenerate lead, a real pair with b < 0, b = 0 with real roots, and
+        # a lead 2 cos(phi) that vanishes at phi = pi/2
+        w1, w2, w3, w4, a1, a2 = (
+            np.array(col).reshape(-1, 1)
+            for col in zip(
+                (0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+                (0.0, 1.0, 0.0, 0.0, 0.0, 1.0),
+                (0.0, 1.0, 0.0, 2.0, 0.0, 1.0),
+                (0.0, 1.0, 0.0, 0.2, 0.0, 0.1 * 0.1),
+                (0.0, 1e-20, 0.0, 2.0, 0.0, 3.0),
+                (0.0, 1.0, 0.0, -3.0, 0.0, 2.0),
+                (0.0, 1.0, 0.0, 0.0, 0.0, -1.0),
+                (1.0, 0.0, 0.5, 1.0, 0.25, 1.0),
+            )
+        )
+        cos = np.cos(np.linspace(0.0, math.pi, 181))
+        for row in range(len(w1)):
+            fc = FourierCoefficients(
+                w1=w1[row : row + 1], w2=w2[row : row + 1],
+                w3=w3[row : row + 1], w4=w4[row : row + 1],
+                a1=float(a1[row, 0]), a2=float(a2[row, 0]), a5=0.0, a6=0.0,
+            )
+            grid = _max_amplification_grid(fc, cos)[0]
+            expected = [
+                reference_amplification(
+                    float(w2[row, 0] + 2.0 * w1[row, 0] * x),
+                    float(w4[row, 0] + 2.0 * w3[row, 0] * x),
+                    float(a2[row, 0] + 2.0 * a1[row, 0] * x),
+                )
+                for x in cos
+            ]
+            assert grid.tolist() == expected, row
+
+    def test_ties_report_the_first_maximum(self):
+        # with dt = 0 every mode has the double root 1, so all phi tie
+        reports = stability_sweep(3.0, 2.0, [0.0, 0.5, 1.0], 0.0, MESH, phi_samples=181)
+        for theta, report in zip([0.0, 0.5, 1.0], reports):
+            assert (report.max_amplification, report.worst_phi) == (1.0, 0.0)
+            assert reference_scan(3.0, 2.0, theta, 0.0, MESH, 181)[:2] == (1.0, 0.0)
+
+    def test_nan_amplification_reads_unstable(self):
+        # finite w-coefficients whose quadratic overflows: 2 w1 cos(phi) is inf
+        mesh = UniformMesh(0.0, math.pi, 40)
+        report = stability_scan(0.0, 0.0, 0.5, 5.6e152, mesh)
+        assert math.isnan(report.max_amplification)
+        assert not report.stable
+
+    @pytest.mark.parametrize("dt", [1e154, 1e160, math.inf, math.nan])
+    def test_non_finite_coefficients_name_dt(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            stability_sweep(1.0, 1.0, [0.0, 0.5, 1.0], dt, MESH)
+
+    def test_sweep_validation(self):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\], got 1.5"):
+            stability_sweep(1.0, 2.0, [0.5, 1.5, -1.0], 0.1, MESH)
+        with pytest.raises(ValueError, match="alpha and beta"):
+            stability_sweep(math.nan, 2.0, [0.5], 0.1, MESH)
+        with pytest.raises(ValueError, match="phi_samples"):
+            stability_sweep(1.0, 2.0, [0.5], 0.1, MESH, phi_samples=1)
