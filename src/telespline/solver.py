@@ -53,12 +53,18 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisWeights, UniformMesh, basis_weights, knot_values
-from .linalg import CornerTridiagonalFactor, CornerTridiagonalSystem, solve
+from .linalg import CornerTridiagonalFactor, CornerTridiagonalSystem, SingularSystemError, solve
 from .problem import BoundaryKind, TelegraphProblem, central_slope, sample, slope_step
 
 _TIME_ALIGN_TOL = 1e-9
 
 _FORCING_LEVELS = ("j", "theta")
+
+# why every Dirichlet step matrix at theta = 0 is singular
+_EXPLICIT_DIRICHLET = (
+    "at theta = 0 the Dirichlet boundary row and the collocation row at x0 are "
+    "proportional, so the step matrix is singular; use theta > 0"
+)
 
 
 @dataclass(frozen=True)
@@ -341,12 +347,22 @@ def run(
             # first-step factor is released before the second is built
             factor = None
             weights = _step_weights(problem, params, first_step)
-            factor = CornerTridiagonalFactor(
-                _collocation_matrix(w, mesh.n_cells, *weights, problem.boundary.kind)
-            )
+            try:
+                factor = CornerTridiagonalFactor(
+                    _collocation_matrix(w, mesh.n_cells, *weights, problem.boundary.kind)
+                )
+            except SingularSystemError as exc:
+                if params.theta == 0 and problem.boundary.kind is BoundaryKind.DIRICHLET:
+                    raise SingularSystemError(exc.row, exc.pivot, _EXPLICIT_DIRICHLET) from exc
+                raise
         t_j = j * params.dt
+        t_next = t_j + params.dt
         rhs = _step_rhs(problem, params, w, knots, current, previous, t_j, first_step)
-        advanced = CoefficientFrame(values=factor.solve(rhs), time=t_j + params.dt)
+        try:
+            values = factor.solve(rhs)
+        except ValueError as exc:
+            raise ValueError(f"step {j} (t = {t_next:.12g}): {exc}") from exc
+        advanced = CoefficientFrame(values=values, time=t_next)
         elapsed += _time.perf_counter() - tic
         previous, current = current, advanced
         if j + 1 in wanted:

@@ -20,11 +20,13 @@ from telespline.basis import (
     knot_values,
 )
 from telespline.cli import main
-from telespline.linalg import CornerTridiagonalSystem, dense_solve_oracle, solve
+from telespline.linalg import CornerTridiagonalSystem, solve
 from telespline.metrics import error_norms
 from telespline.problem import BoundaryKind, BoundarySpec, builtin_problem
 from telespline.solver import SchemeParams, assemble_step, initial_coefficients, run
 from telespline.stability import stability_scan
+
+from oracle import dense, dense_solve_oracle
 
 
 def report(number, ok, detail):
@@ -106,7 +108,7 @@ def test_criterion_02_linear_algebra_oracle():
     def check(system):
         nonlocal worst
         x = solve(system)
-        ref = dense_solve_oracle(system.dense(), system.rhs)
+        ref = dense_solve_oracle(dense(system), system.rhs)
         worst = max(worst, np.max(np.abs(x - ref)) / max(1.0, np.max(np.abs(ref))))
 
     for n in sizes:

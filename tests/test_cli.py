@@ -569,6 +569,7 @@ class TestFailureExitCodes:
         assert code == 3
         assert out == ""
         assert "row 1" in err
+        assert "theta = 0" in err and "proportional" in err
 
     def test_forcing_turning_non_finite_exits_2(self, capsys, write_config):
         # finite at t = 0, overflows to inf from the first step on
@@ -580,6 +581,7 @@ class TestFailureExitCodes:
         assert code == 2
         assert out == ""
         assert "non-finite entries in rhs" in err
+        assert err.startswith("error: step 1 (t = 0.02): ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,19 +2,27 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from telespline.basis import UniformMesh
+from telespline import linalg
+from telespline.basis import DegenerateMeshError, UniformMesh, basis_weights
 from telespline.linalg import (
     CornerTridiagonalFactor,
     CornerTridiagonalSystem,
     SingularSystemError,
-    dense_solve_oracle,
     solve,
 )
 from telespline.problem import builtin_problem
-from telespline.solver import SchemeParams, assemble_step, initial_coefficients
+from telespline.solver import (
+    SchemeParams,
+    _collocation_matrix,
+    _step_weights,
+    assemble_step,
+    initial_coefficients,
+)
+
+from oracle import dense, dense_solve_oracle, plain_pivot_sweep
 
 
 def random_dominant_system(rng, n):
@@ -42,7 +50,7 @@ def assert_factor_reuse_matches_oracle(system, rng, count=20):
     """One factor, ``count`` random right-hand sides, each within 1e-12 relative."""
     factor = CornerTridiagonalFactor(system)
     rhs = rng.uniform(-5.0, 5.0, (system.n, count))
-    want = dense_solve_oracle(system.dense(), rhs)
+    want = dense_solve_oracle(dense(system), rhs)
     for column in range(count):
         got = factor.solve(rhs[:, column])
         expected = want[:, column]
@@ -74,7 +82,7 @@ class TestSolve:
         rng = np.random.default_rng(11)
         system = random_dominant_system(rng, 9)
         got = solve(system)
-        assert system.dense() @ got == pytest.approx(np.asarray(system.rhs), abs=1e-12)
+        assert dense(system) @ got == pytest.approx(np.asarray(system.rhs), abs=1e-12)
 
     def test_symmetric_boundary_rows(self):
         # boundary row proportional to its neighbour: the shape that defeats
@@ -90,7 +98,7 @@ class TestSolve:
         )
         system.diag[0] = system.sub[0] = 1.0
         got = solve(system)
-        want = dense_solve_oracle(system.dense(), system.rhs)
+        want = dense_solve_oracle(dense(system), system.rhs)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_matches_oracle_on_many_random_systems(self):
@@ -99,7 +107,7 @@ class TestSolve:
             n = int(rng.integers(4, 80))
             system = random_dominant_system(rng, n)
             got = solve(system)
-            want = dense_solve_oracle(system.dense(), system.rhs)
+            want = dense_solve_oracle(dense(system), system.rhs)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
 
@@ -244,7 +252,7 @@ class TestConstruction:
                 [0.0, 8.0, 3.0, 40.0],
             ]
         )
-        assert np.array_equal(system.dense(), want)
+        assert np.array_equal(dense(system), want)
 
 
 class TestDenseOracle:
@@ -272,7 +280,7 @@ def test_solver_matches_oracle_property(n, seed):
     rng = np.random.default_rng(seed)
     system = random_dominant_system(rng, n)
     got = solve(system)
-    want = dense_solve_oracle(system.dense(), system.rhs)
+    want = dense_solve_oracle(dense(system), system.rhs)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert float(np.max(np.abs(got - want))) <= 1e-11 * scale
 
@@ -282,3 +290,135 @@ def test_solver_matches_oracle_property(n, seed):
 def test_factor_reuse_matches_oracle_property(n, seed):
     rng = np.random.default_rng(seed)
     assert_factor_reuse_matches_oracle(random_dominant_system(rng, n), rng)
+
+
+def factor_outcome(system, sweep=None):
+    """The factor's arrays as int64 bit patterns, or the row and pivot bits
+    of its SingularSystemError; ``sweep`` replaces the library's pivot sweep."""
+    with pytest.MonkeyPatch.context() as patch:
+        if sweep is not None:
+            patch.setattr(linalg, "_pivot_sweep", sweep)
+        try:
+            factor = CornerTridiagonalFactor(system)
+        except SingularSystemError as exc:
+            return ("singular", exc.row, np.float64(exc.pivot).view(np.int64))
+    arrays = (factor._pivots, factor._forward, factor._backward)
+    return tuple(a.view(np.int64).tolist() for a in arrays) + (factor.levels,)
+
+
+def assert_sweep_matches_reference(system):
+    """The library's factor equals, bit for bit, one built on the plain sweep."""
+    want = factor_outcome(system, plain_pivot_sweep)
+    assert factor_outcome(system) == want
+    return want
+
+
+def block_system(sub, diag, sup):
+    """A system whose condensed block is exactly (sub, diag, sup).
+
+    The first and last rows are unit rows with no link to the block, so the
+    corner folds change nothing and error rows are block rows plus one.
+    """
+    sub, diag, sup = (np.asarray(a, dtype=float) for a in (sub, diag, sup))
+    pad = np.zeros(1)
+    return CornerTridiagonalSystem(
+        np.concatenate([pad, sub, pad]),
+        np.concatenate([[1.0], diag, [1.0]]),
+        np.concatenate([pad, sup, pad]),
+        0.0,
+        0.0,
+        np.zeros(diag.size + 2),
+    )
+
+
+def step_matrix(problem_id, n_cells, theta, dt, first_step):
+    problem = builtin_problem(problem_id)
+    mesh = UniformMesh(problem.domain[0], problem.domain[1], n_cells)
+    params = SchemeParams(theta=theta, dt=dt, t_final=dt)
+    weights = _step_weights(problem, params, first_step)
+    return _collocation_matrix(basis_weights(mesh), n_cells, *weights, problem.boundary.kind)
+
+
+class TestFixedPointSweep:
+    def test_step_matrices_reach_the_fixed_point_early(self):
+        # the plain sweep repeats its pivot bit for bit well before the end
+        system = step_matrix(1, 2000, 0.75, 1e-3, False)
+        pivots = np.asarray(assert_sweep_matches_reference(system)[0])
+        repeats = np.flatnonzero(pivots[2:-1] == pivots[1:-2])
+        assert repeats.size and repeats[0] < 100
+        # the last condensed row has its own coefficients and pivot
+        assert pivots[-1] != pivots[-2]
+
+    def test_floor_failure_inside_the_constant_run(self):
+        # pivots 7/8, 6/7, ... of the (1, 2, 1) stencil reach zero at block row 7
+        size = 30
+        system = block_system(np.ones(size - 1), [7 / 8] + [2.0] * (size - 1), np.ones(size - 1))
+        want = assert_sweep_matches_reference(system)
+        assert want[:2] == ("singular", 8)
+
+    def test_floor_failure_in_the_last_condensed_row(self):
+        size = 60
+        sub, diag, sup = np.ones(size - 1), np.full(size, 4.0), np.ones(size - 1)
+        pivots = plain_pivot_sweep(sub, diag, sup)
+        assert pivots[-2] == pivots[-3]  # the run converged before the last row
+        # cancel the last pivot exactly: d - l * (u / p) == 0
+        diag[-1] = sub[-1] * (sup[-1] / pivots[-2])
+        want = assert_sweep_matches_reference(block_system(sub, diag, sup))
+        assert want == ("singular", size, np.float64(0.0).view(np.int64))
+
+    def test_repeated_pivot_before_the_run_is_not_a_fixed_point(self):
+        # block rows 0 and 1 share the pivot 2, but the run's map sends 2 to 3.5
+        size = 12
+        diag = np.array([2.0, 3.0] + [4.0] * (size - 2))
+        sub = np.ones(size - 1)
+        sup = np.array([2.0] + [1.0] * (size - 2))
+        pivots = np.asarray(assert_sweep_matches_reference(block_system(sub, diag, sup))[0])
+        assert pivots[0] == pivots[1] != pivots[2]
+
+    def test_run_ends_before_the_last_rows(self):
+        # a stencil change a few rows from the end: the tail is marched in full
+        size = 80
+        sub, diag, sup = np.ones(size - 1), np.full(size, 4.0), np.ones(size - 1)
+        diag[-4:] = 5.0
+        sub[-6] = 0.5
+        assert_sweep_matches_reference(block_system(sub, diag, sup))
+
+    @pytest.mark.parametrize("rows", [4, 5, 6])
+    def test_small_blocks(self, rows):
+        rng = np.random.default_rng(rows)
+        for _ in range(20):
+            assert_sweep_matches_reference(random_dominant_system(rng, rows))
+        assert_sweep_matches_reference(
+            CornerTridiagonalSystem(
+                np.ones(rows - 1), np.full(rows, 4.0), np.ones(rows - 1), 1.0, 1.0, np.ones(rows)
+            )
+        )
+        size = rows - 2
+        assert_sweep_matches_reference(
+            block_system(np.ones(size - 1), np.full(size, 2.0), np.ones(size - 1))
+        )
+
+    def test_random_systems_without_a_constant_stencil(self):
+        rng = np.random.default_rng(41)
+        for n in (7, 50, 1500, 2500):
+            assert_sweep_matches_reference(random_dominant_system(rng, n))
+
+    def test_dirichlet_theta_zero_fails_at_the_same_row(self):
+        want = assert_sweep_matches_reference(step_matrix(1, 200, 0.0, 1e-3, True))
+        assert want[:2] == ("singular", 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem_id=st.integers(1, 5),
+    n_cells=st.integers(3, 3000),
+    theta=st.floats(0.0, 1.0),
+    dt=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+    first_step=st.booleans(),
+)
+def test_fixed_point_sweep_matches_plain_sweep_property(problem_id, n_cells, theta, dt, first_step):
+    try:
+        system = step_matrix(problem_id, n_cells, theta, dt, first_step)
+    except DegenerateMeshError:
+        reject()  # e.g. problem 5 at 3 cells: h = 2 pi / 3 has no spline basis
+    assert_sweep_matches_reference(system)

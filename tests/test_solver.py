@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from telespline import linalg
 from telespline.basis import UniformMesh, basis_weights, evaluate_solution, knot_values
 from telespline.linalg import SingularSystemError, solve
 from telespline.metrics import error_norms
@@ -23,6 +24,8 @@ from telespline.solver import (
     run,
     step,
 )
+
+from oracle import dense, plain_pivot_sweep
 
 
 def knot_errors(frame, problem, mesh):
@@ -277,7 +280,7 @@ class TestAssembly:
         previous = CoefficientFrame(values=rng.standard_normal(size), time=0.28)
         system = assemble_step(p, mesh, params, current, previous, 0.3, first_step)
         mat, rhs = dense_oracle(p, mesh, params, current, previous, 0.3, first_step)
-        np.testing.assert_allclose(system.dense(), mat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense(system), mat, rtol=0, atol=1e-12)
         np.testing.assert_allclose(system.rhs, rhs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             solve(system), np.linalg.solve(mat, rhs), rtol=0, atol=1e-10
@@ -368,6 +371,25 @@ class TestRunMatchesStepping:
             assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 
 
+class TestRunMatchesPlainSweep:
+    @pytest.mark.parametrize("pid", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("level", ["j", "theta"])
+    def test_frames_are_bit_identical(self, pid, level, monkeypatch):
+        p = builtin_problem(pid)
+        mesh = UniformMesh(p.domain[0], p.domain[1], 300)
+        dt, steps = 1e-3, 6
+        times = [j * dt for j in range(steps + 1)]
+        for theta in (0.5, 1.0):
+            params = SchemeParams(theta=theta, dt=dt, t_final=steps * dt, forcing_level=level)
+            fast = run(p, mesh, params, times)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_pivot_sweep", plain_pivot_sweep)
+                plain = run(p, mesh, params, times)
+            for got, want in zip(fast.frames, plain.frames, strict=True):
+                assert got.time == want.time
+                assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+
 class TestFailureClassification:
     def test_dirichlet_theta_zero_fails_on_the_first_step(self):
         # the boundary row and the collocation row at x_0 become proportional
@@ -386,6 +408,14 @@ class TestFailureClassification:
         assert info.value.row == 1
         assert all(t < params.dt for t in sampled)
 
+    def test_dirichlet_theta_zero_names_its_cause(self):
+        p = builtin_problem(3)
+        mesh = UniformMesh(0.0, 1.0, 12)
+        params = SchemeParams(theta=0.0, dt=0.01, t_final=0.05)
+        with pytest.raises(SingularSystemError, match="row 1 .*theta = 0.*proportional") as info:
+            run(p, mesh, params, [0.05])
+        assert info.value.row == 1
+
     def test_forcing_turning_non_finite_mid_run(self):
         p = builtin_problem(1)
         probe = dataclasses.replace(
@@ -394,6 +424,19 @@ class TestFailureClassification:
         mesh = UniformMesh(0.0, math.pi, 20)
         params = SchemeParams(theta=0.5, dt=0.01, t_final=0.05)
         with pytest.raises(ValueError, match="non-finite entries in rhs"):
+            run(probe, mesh, params, [0.05])
+
+    @pytest.mark.parametrize("level, bad_step", [("j", 3), ("theta", 2)])
+    def test_non_finite_rhs_names_its_step(self, level, bad_step):
+        # q is first sampled past t = 0.025 at t_3 (level j) or t_3 = t_2 + dt (theta)
+        p = builtin_problem(1)
+        probe = dataclasses.replace(
+            p, forcing=lambda x, t: math.inf if t > 0.025 else p.forcing(x, t)
+        )
+        mesh = UniformMesh(0.0, math.pi, 20)
+        params = SchemeParams(theta=0.5, dt=0.01, t_final=0.05, forcing_level=level)
+        message = rf"^step {bad_step} \(t = 0\.0{bad_step + 1}\): non-finite entries in rhs$"
+        with pytest.raises(ValueError, match=message):
             run(probe, mesh, params, [0.05])
 
 
