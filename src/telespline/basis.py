@@ -254,13 +254,15 @@ def knot_values(
     """Spline values (or derivatives) at all mesh knots, via the a-weights.
 
     Returns the length N + 1 vector over knots x_0 .. x_N given the length
-    N + 3 coefficient vector.
+    N + 3 coefficient vector; a stack of coefficient vectors (last axis
+    N + 3) gives the same stack of knot vectors.
     """
     values = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
+    left, middle, right = values[..., :-2], values[..., 1:-1], values[..., 2:]
     if derivative_order == 0:
-        return weights.a1 * values[:-2] + weights.a2 * values[1:-1] + weights.a1 * values[2:]
+        return weights.a1 * left + weights.a2 * middle + weights.a1 * right
     if derivative_order == 1:
-        return weights.a3 * values[:-2] + weights.a4 * values[2:]
+        return weights.a3 * left + weights.a4 * right
     if derivative_order == 2:
-        return weights.a5 * values[:-2] + weights.a6 * values[1:-1] + weights.a5 * values[2:]
+        return weights.a5 * left + weights.a6 * middle + weights.a5 * right
     raise ValueError(f"derivative_order must be 0, 1 or 2, got {derivative_order}")

@@ -9,13 +9,17 @@ Three subcommands:
 
 ``bench``
     Same march, but write error norms per requested time with the header
-    ``t,L2,Linf,RMS,cpu_seconds``; cpu_seconds is the wall time the stepping
-    loop alone had consumed when that time was captured.
+    ``t,L2,Linf,RMS,cpu_seconds``; despite its name, cpu_seconds is wall
+    time (``time.perf_counter``) that the stepping loop alone had consumed
+    when that time was captured.
 
 ``stability``
     Scan the amplification factor over mode angles and write
     ``theta,max_amplification,worst_phi,rh1,rh2,rh3,verdict`` (one row per
     theta when sweeping).
+
+Numbers are written as ``%.17g``, which reads back to the same float.  Output
+is streamed with one ``%`` call on a line template per frame (or per row).
 
 Exit status: 0 on success, 2 for configuration or usage problems, 3 when the
 linear solver hits a vanishing pivot.
@@ -31,10 +35,14 @@ the expression grammar of :mod:`telespline.expr`.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .basis import UniformMesh, basis_weights, knot_values
 from .expr import ExpressionError, parse
@@ -45,6 +53,12 @@ from .solver import SchemeParams, SolutionHistory, output_steps, run
 from .stability import stability_sweep
 
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
+
+# stands for the t cell in a frame template until a frame's time is put in
+_T_CELL = "{t}"
+
+# the most theta values one --sweep may ask for
+MAX_SWEEP_POINTS = 10**6
 
 _REQUIRED_KEYS = ("alpha", "beta", "domain", "q", "g1", "g2", "bc", "left", "right")
 _OPTIONAL_KEYS = ("exact", "g1x")
@@ -80,10 +94,6 @@ class RunConfig:
     output: Optional[str]
     forcing_level: str
     plot_data: Optional[str] = None
-
-
-def _format_number(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _parse_constant(text: str, where: str) -> float:
@@ -133,11 +143,19 @@ def _parse_sweep(text: str) -> list[float]:
         start, stop, step = (float(part) for part in parts)
     except ValueError:
         raise ConfigError(f"--sweep: non-numeric bound in {text!r}") from None
+    for name, value in zip(("start", "stop", "step"), (start, stop, step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"--sweep: {name} must be finite, got {value}")
     if step <= 0:
         raise ConfigError(f"--sweep: step must be positive, got {step}")
     if stop < start:
         raise ConfigError(f"--sweep: stop {stop} is below start {start}")
-    count = int((stop - start) / step + 1e-9)
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:  # also catches a quotient that overflows to inf
+        raise ConfigError(
+            f"--sweep: {text!r} gives more than {MAX_SWEEP_POINTS} theta values"
+        )
+    count = int(span)
     # accumulated rounding must not push the last value past stop
     return [min(start + i * step, stop) for i in range(count + 1)]
 
@@ -226,15 +244,22 @@ def _load_problem(config: RunConfig) -> TelegraphProblem:
     return builtin_problem(config.problem_id)
 
 
-def _emit(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> None:
-    sep = _SEPARATORS[fmt]
-    lines = [sep.join(header)]
-    lines.extend(sep.join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _emit(path: Optional[str], header: Sequence[str], blocks: Iterable[str], sep: str) -> None:
+    """Write the header line, then each block of lines, to ``path`` or stdout."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+        out.write(sep.join(header) + "\n")
+        out.writelines(blocks)
+
+
+def _frame_blocks(
+    knots: np.ndarray, sep: str, cells: str, times: Iterable[float], values: np.ndarray
+) -> Iterator[str]:
+    """One block of lines per output time: per knot, its x cell, the t cell,
+    then ``cells``, whose ``%.17g`` slots take ``values[i]`` (one row per
+    time, knot-major)."""
+    template = "".join(["%.17g" % x + f"{sep}{_T_CELL}{sep}{cells}\n" for x in knots.tolist()])
+    for t, row in zip(times, values):
+        yield template.replace(_T_CELL, "%.17g" % t) % tuple(row.ravel().tolist())
 
 
 def _march(
@@ -253,47 +278,30 @@ def _march(
     return mesh, run(problem, mesh, params, grid), times, positions
 
 
-def _write_plot_data(
-    mesh: UniformMesh, history: SolutionHistory, config: RunConfig
-) -> None:
-    weights = basis_weights(mesh)
-    x_cells = [_format_number(x) for x in mesh.knots().tolist()]
-    rows = []
-    for frame in history.frames:
-        values = knot_values(frame.values, weights, 0)
-        t_cell = _format_number(frame.time)
-        for x_cell, u in zip(x_cells, values.tolist()):
-            rows.append([x_cell, t_cell, _format_number(u)])
-    _emit(config.plot_data, ["x", "t", "u"], rows, config.fmt)
+def _write_plot_data(mesh: UniformMesh, history: SolutionHistory, config: RunConfig) -> None:
+    sep = _SEPARATORS[config.fmt]
+    coeffs = np.stack([frame.values for frame in history.frames])
+    values = knot_values(coeffs, basis_weights(mesh), 0)
+    times = [frame.time for frame in history.frames]
+    blocks = _frame_blocks(mesh.knots(), sep, "%.17g", times, values)
+    _emit(config.plot_data, ["x", "t", "u"], blocks, sep)
 
 
 def cmd_solve(config: RunConfig) -> None:
     """Write the solution at the requested times, knot by knot."""
     problem = _load_problem(config)
     mesh, history, times, positions = _march(problem, config)
-    weights = basis_weights(mesh)
+    sep = _SEPARATORS[config.fmt]
     knots = mesh.knots()
-    x_cells = [_format_number(x) for x in knots.tolist()]
-
-    rows = []
-    for t, pos in zip(times, positions):
-        frame = history.frames[pos]
-        values = knot_values(frame.values, weights, 0).tolist()
-        t_cell = _format_number(t)
-        if problem.exact is None:
-            exact_values = [None] * len(values)
-        else:
-            exact_values = sample(problem.exact, knots, t).tolist()
-        for x_cell, u, exact_value in zip(x_cells, values, exact_values):
-            if exact_value is None:
-                exact_cell = ""
-                error_cell = ""
-            else:
-                exact_cell = _format_number(exact_value)
-                error_cell = _format_number(u - exact_value)
-            rows.append([x_cell, t_cell, _format_number(u), exact_cell, error_cell])
-
-    _emit(config.output, ["x", "t", "u", "exact", "error"], rows, config.fmt)
+    coeffs = np.stack([history.frames[pos].values for pos in positions])
+    u = knot_values(coeffs, basis_weights(mesh), 0)
+    if problem.exact is None:
+        cells, values = "%.17g" + sep * 2, u  # empty exact and error cells
+    else:
+        exact = np.stack([sample(problem.exact, knots, t) for t in times])
+        cells, values = sep.join(["%.17g"] * 3), np.stack((u, exact, u - exact), axis=-1)
+    blocks = _frame_blocks(knots, sep, cells, times, values)
+    _emit(config.output, ["x", "t", "u", "exact", "error"], blocks, sep)
     if config.plot_data is not None:
         _write_plot_data(mesh, history, config)
 
@@ -307,21 +315,13 @@ def cmd_bench(config: RunConfig) -> None:
             "'exact =' line to the config"
         )
     mesh, history, times, positions = _march(problem, config)
-
-    rows = []
+    sep = _SEPARATORS[config.fmt]
+    line = sep.join(["%.17g"] * 5) + "\n"
+    lines = []
     for t, pos in zip(times, positions):
         report = error_norms(history.frames[pos], problem, mesh)
-        rows.append(
-            [
-                _format_number(t),
-                _format_number(report.l2),
-                _format_number(report.l_inf),
-                _format_number(report.rms),
-                _format_number(history.stepping_seconds[pos]),
-            ]
-        )
-
-    _emit(config.output, ["t", "L2", "Linf", "RMS", "cpu_seconds"], rows, config.fmt)
+        lines.append(line % (t, report.l2, report.l_inf, report.rms, history.stepping_seconds[pos]))
+    _emit(config.output, ["t", "L2", "Linf", "RMS", "cpu_seconds"], lines, sep)
     if config.plot_data is not None:
         _write_plot_data(mesh, history, config)
 
@@ -333,23 +333,15 @@ def cmd_stability(args: argparse.Namespace) -> None:
     thetas = _parse_sweep(args.sweep) if args.sweep else [args.theta]
 
     reports = stability_sweep(args.alpha, args.beta, thetas, args.dt, mesh, args.phi_samples)
-    rows = []
-    for theta, report in zip(thetas, reports):
-        rh1, rh2, rh3 = report.rh_conditions
-        rows.append(
-            [
-                _format_number(theta),
-                _format_number(report.max_amplification),
-                _format_number(report.worst_phi),
-                _format_number(rh1),
-                _format_number(rh2),
-                _format_number(rh3),
-                "stable" if report.stable else "unstable",
-            ]
-        )
-
+    sep = _SEPARATORS[args.format]
+    line = sep.join(["%.17g"] * 6 + ["%s"]) + "\n"
+    lines = (
+        line % (theta, r.max_amplification, r.worst_phi, *r.rh_conditions,
+                "stable" if r.stable else "unstable")
+        for theta, r in zip(thetas, reports)
+    )
     header = ["theta", "max_amplification", "worst_phi", "rh1", "rh2", "rh3", "verdict"]
-    _emit(args.output, header, rows, args.format)
+    _emit(args.output, header, lines, sep)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -389,7 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve and write u at the output times")
     _add_run_flags(solve)
 
-    bench = sub.add_parser("bench", help="solve and write error norms per output time")
+    bench_help = (
+        "solve and write error norms per output time; cpu_seconds is the wall time "
+        "(perf_counter) the stepping loop had taken by then"
+    )
+    bench = sub.add_parser("bench", help=bench_help, description=bench_help)
     _add_run_flags(bench)
 
     stability = sub.add_parser("stability", help="von Neumann amplification scan")

@@ -46,6 +46,7 @@ and its solution on their own with the same arithmetic, so they reproduce
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -86,9 +87,15 @@ class SchemeParams:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final}")
         if not self.t_final >= self.dt:
             raise ValueError(
                 f"t_final must be at least one step, got {self.t_final} < {self.dt}"
+            )
+        if not math.isfinite((self.t_final + _TIME_ALIGN_TOL) / self.dt):
+            raise ValueError(
+                f"t_final / dt = {self.t_final} / {self.dt} is too large to count the steps"
             )
         if self.forcing_level not in _FORCING_LEVELS:
             raise ValueError(
@@ -292,13 +299,17 @@ def output_steps(times: Sequence[float], params: SchemeParams) -> list[int]:
         raise ValueError("at least one output time is required")
     steps: list[int] = []
     for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"output time {t} is not finite")
+        if not -_TIME_ALIGN_TOL <= t <= params.t_final + _TIME_ALIGN_TOL:
+            raise ValueError(f"output time {t} outside [0, {params.t_final}]")
+        # t / dt is finite here, since (t_final + tol) / dt is
         j = int(round(t / params.dt))
-        inside = -_TIME_ALIGN_TOL <= t <= params.t_final + _TIME_ALIGN_TOL
-        if inside and abs(t - j * params.dt) > _TIME_ALIGN_TOL:
+        if abs(t - j * params.dt) > _TIME_ALIGN_TOL:
             raise ValueError(
                 f"output time {t} is not a multiple of the step {params.dt}"
             )
-        if not inside or not 0 <= j <= params.last_step:
+        if not 0 <= j <= params.last_step:
             raise ValueError(f"output time {t} outside [0, {params.t_final}]")
         steps.append(j)
     if any(b <= a for a, b in zip(steps, steps[1:])):

@@ -1,14 +1,18 @@
 """Reference implementations the tests check the library against.
 
 None of this is used by the library itself: a dense matrix view of a
-corner-tridiagonal system, a dense Gaussian-elimination solver, and the
-plain pivot sweep that marches every row, without the fixed-point exit of
-:func:`telespline.linalg._pivot_sweep`.
+corner-tridiagonal system, a dense Gaussian-elimination solver, the plain
+pivot sweep that marches every row, without the fixed-point exit of
+:func:`telespline.linalg._pivot_sweep`, and the per-cell output writer that
+the CLI's frame templates must match byte for byte.
 """
 
 import numpy as np
 
+from telespline.basis import basis_weights, knot_values
 from telespline.linalg import _PIVOT_FLOOR, CornerTridiagonalSystem, SingularSystemError
+from telespline.metrics import error_norms
+from telespline.problem import sample
 
 
 def dense(system: CornerTridiagonalSystem) -> np.ndarray:
@@ -70,3 +74,68 @@ def plain_pivot_sweep(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.
             raise SingularSystemError(row + 1, pivot)
         pivots[row] = pivot
     return pivots
+
+
+def format_cell(value) -> str:
+    """One number cell: ``format(float, ".17g")``."""
+    return format(float(value), ".17g")
+
+
+def write_rows(header, rows, sep: str) -> str:
+    """The text of a table: the header and each row of cells, joined one by one."""
+    lines = [sep.join(header)]
+    lines.extend(sep.join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def solve_text(problem, mesh, history, times, positions, sep: str) -> str:
+    """What ``solve`` writes, one frame and one knot at a time."""
+    weights = basis_weights(mesh)
+    knots = mesh.knots()
+    x_cells = [format_cell(x) for x in knots.tolist()]
+    rows = []
+    for t, pos in zip(times, positions):
+        values = knot_values(history.frames[pos].values, weights, 0).tolist()
+        if problem.exact is None:
+            exact_values = [None] * len(values)
+        else:
+            exact_values = sample(problem.exact, knots, t).tolist()
+        for x_cell, u, exact_value in zip(x_cells, values, exact_values):
+            if exact_value is None:
+                tail = ["", ""]
+            else:
+                tail = [format_cell(exact_value), format_cell(u - exact_value)]
+            rows.append([x_cell, format_cell(t), format_cell(u)] + tail)
+    return write_rows(["x", "t", "u", "exact", "error"], rows, sep)
+
+
+def plot_text(mesh, history, sep: str) -> str:
+    """What ``--emit-plot-data`` writes: (x, t, u) for every captured frame."""
+    weights = basis_weights(mesh)
+    x_cells = [format_cell(x) for x in mesh.knots().tolist()]
+    rows = []
+    for frame in history.frames:
+        values = knot_values(frame.values, weights, 0).tolist()
+        rows.extend([x, format_cell(frame.time), format_cell(u)] for x, u in zip(x_cells, values))
+    return write_rows(["x", "t", "u"], rows, sep)
+
+
+def bench_text(problem, mesh, history, times, positions, sep: str) -> str:
+    """What ``bench`` writes: the error norms and stepping time per output time."""
+    rows = []
+    for t, pos in zip(times, positions):
+        report = error_norms(history.frames[pos], problem, mesh)
+        numbers = (t, report.l2, report.l_inf, report.rms, history.stepping_seconds[pos])
+        rows.append([format_cell(v) for v in numbers])
+    return write_rows(["t", "L2", "Linf", "RMS", "cpu_seconds"], rows, sep)
+
+
+def stability_text(thetas, reports, sep: str) -> str:
+    """What ``stability`` writes: one row per theta value."""
+    rows = []
+    for theta, report in zip(thetas, reports):
+        numbers = (theta, report.max_amplification, report.worst_phi, *report.rh_conditions)
+        verdict = "stable" if report.stable else "unstable"
+        rows.append([format_cell(v) for v in numbers] + [verdict])
+    header = ["theta", "max_amplification", "worst_phi", "rh1", "rh2", "rh3", "verdict"]
+    return write_rows(header, rows, sep)

@@ -199,6 +199,17 @@ class TestExpansion:
             ]
             assert table == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
+    def test_stacked_coefficients_give_each_frame_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        mesh = UniformMesh(0.0, math.pi, 17)
+        w = basis_weights(mesh)
+        stack = rng.uniform(-1.0, 1.0, (6, mesh.n_cells + 3))
+        for order in (0, 1, 2):
+            table = knot_values(stack, w, order)
+            assert table.shape == (6, mesh.n_cells + 1)
+            for row, coeffs in zip(table, stack):
+                assert row.tobytes() == knot_values(coeffs, w, order).tobytes()
+
     def test_unit_coefficient_reproduces_weight_rows(self):
         mesh = UniformMesh(0.0, 2.0, 6)
         w = basis_weights(mesh)

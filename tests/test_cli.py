@@ -3,13 +3,16 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracle
 import telespline
+from telespline import cli
 from telespline.cli import main
 from telespline.linalg import SingularSystemError
 
@@ -472,6 +475,50 @@ class TestStability:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "sweep, fragment",
+        [
+            ("theta=nan:1:0.1", "start must be finite, got nan"),
+            ("theta=0:nan:0.1", "stop must be finite, got nan"),
+            ("theta=0:inf:0.1", "stop must be finite, got inf"),
+            ("theta=0:1:inf", "step must be finite, got inf"),
+            ("theta=0:1:1e-300", "more than 1000000 theta values"),
+            ("theta=0:1:1e-320", "more than 1000000 theta values"),
+            ("theta=-1e308:1e308:1", "more than 1000000 theta values"),
+        ],
+    )
+    def test_bad_sweeps_exit_2(self, capsys, monkeypatch, sweep, fragment):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("telespline.cli.stability_sweep", never)
+        code, out, err = run_cli(
+            ["stability", "--alpha", "1", "--beta", "1", "--dt", "0.1", "--n", "40",
+             "--sweep", sweep],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --sweep: ") and fragment in err
+
+    def test_sweep_point_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 21)
+        assert len(cli._parse_sweep("theta=0:1:0.05")) == 21
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 20)
+        with pytest.raises(cli.ConfigError, match="more than 20 theta values"):
+            cli._parse_sweep("theta=0:1:0.05")
+
+    def test_oversized_sweep_is_rejected_before_building_its_values(self, monkeypatch):
+        # 100001 values would take megabytes; the count check must come first
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.ConfigError, match="more than 1000 theta values"):
+                cli._parse_sweep("theta=0:1:1e-5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
 
 class TestExitCodes:
     def test_unknown_problem_id(self, capsys):
@@ -524,6 +571,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert fragment in err
         assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize(
+        "timing, fragment",
+        [
+            (["--dt", "0.01", "--t-final", "inf"], "t_final must be finite, got inf"),
+            (["--dt", "0.01", "--t-final", "0.1", "--times", "inf"], "output time inf is not finite"),
+            (["--dt", "0.01", "--t-final", "0.1", "--times", "nan"], "output time nan is not finite"),
+            (["--dt", "1e-320", "--t-final", "0.1"], "t_final / dt = 0.1 / 1e-320"),
+            (["--dt", "0.001", "--t-final", "0.1", "--times", "1e308"], "output time 1e+308 outside"),
+        ],
+    )
+    def test_non_finite_times_exit_2(self, capsys, timing, fragment):
+        code, out, err = run_cli(["solve", "--problem", "1", "--n", "10"] + timing, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and fragment in err
 
     def test_nonpositive_step(self, capsys):
         code, _, err = run_cli(
@@ -582,6 +644,117 @@ class TestFailureExitCodes:
         assert out == ""
         assert "non-finite entries in rhs" in err
         assert err.startswith("error: step 1 (t = 0.02): ")
+
+
+def _reference_run(argv):
+    """The march the CLI makes for ``argv``, for the reference writer to format."""
+    config = cli._run_config_from_args(cli._build_parser().parse_args(argv))
+    problem = cli._load_problem(config)
+    return (problem, *cli._march(problem, config))
+
+
+def _without_last_column(text, sep):
+    return [line.rsplit(sep, 1)[0] for line in text.splitlines()]
+
+
+class TestWriterMatchesReference:
+    """Every output equals the per-cell writer in ``oracle``, byte for byte."""
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--problem", "1", "--n", "20", "--dt", "0.05", "--t-final", "0.5", "--times", "0.25,0.5"],
+            ["--problem", "2", "--n", "30", "--dt", "0.01", "--t-final", "0.5", "--times", "0,0.5"],
+            ["--problem", "5", "--n", "12", "--dt", "0.05", "--t-final", "0.45", "--theta", "0.7"],
+            ["--problem", "3", "--n", "8", "--dt", "0.1", "--t-final", "0.37"],
+        ],
+    )
+    @pytest.mark.parametrize("plot", [False, True])
+    def test_solve(self, capsys, tmp_path, argv, fmt, sep, plot):
+        argv = ["solve"] + argv + ["--format", fmt]
+        if plot:
+            argv += ["--emit-plot-data", str(tmp_path / "grid.out")]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        problem, mesh, history, times, positions = _reference_run(argv)
+        assert out == oracle.solve_text(problem, mesh, history, times, positions, sep)
+        if plot:
+            assert (tmp_path / "grid.out").read_text() == oracle.plot_text(mesh, history, sep)
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+    def test_solve_without_exact_solution(self, capsys, tmp_path, write_config, fmt, sep):
+        argv = [
+            "solve", "--config", write_config(4, exact=None), "--n", "9", "--dt", "0.1",
+            "--t-final", "0.3", "--times", "0,0.1,0.3", "--format", fmt,
+            "--emit-plot-data", str(tmp_path / "grid.out"),
+        ]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        problem, mesh, history, times, positions = _reference_run(argv)
+        assert out == oracle.solve_text(problem, mesh, history, times, positions, sep)
+        assert all(line.endswith(sep * 2) for line in out.splitlines()[1:])
+        assert (tmp_path / "grid.out").read_text() == oracle.plot_text(mesh, history, sep)
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+    def test_bench_up_to_timing(self, capsys, fmt, sep):
+        argv = [
+            "bench", "--problem", "1", "--n", "40", "--dt", "0.02", "--t-final", "1",
+            "--times", "0,0.5,1", "--format", fmt,
+        ]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        problem, mesh, history, times, positions = _reference_run(argv)
+        expected = oracle.bench_text(problem, mesh, history, times, positions, sep)
+        assert _without_last_column(out, sep) == _without_last_column(expected, sep)
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+    def test_stability_sweep_with_both_verdicts(self, capsys, fmt, sep):
+        code, out, _ = run_cli(
+            [
+                "stability", "--alpha", "0", "--beta", "0", "--dt", "1", "--n", "40",
+                "--sweep", "theta=0:1:0.05", "--format", fmt,
+            ],
+            capsys,
+        )
+        assert code == 0
+        thetas = cli._parse_sweep("theta=0:1:0.05")
+        reports = cli.stability_sweep(0.0, 0.0, thetas, 1.0, cli.UniformMesh(0.0, math.pi, 40), 721)
+        assert {report.stable for report in reports} == {True, False}
+        assert out == oracle.stability_text(thetas, reports, sep)
+
+    def test_special_values_through_the_frame_template(self):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 0.1]
+        knots = np.array(specials)
+        times = [-0.0, math.nan, 5e-324]
+        values = np.array([[specials, specials[::-1], specials[1:] + specials[:1]]] * 3)
+        values = values.transpose(0, 2, 1)  # one row per time, knot-major triples
+        sep = ","
+        text = "".join(cli._frame_blocks(knots, sep, sep.join(["%.17g"] * 3), times, values))
+        rows = [
+            [oracle.format_cell(x), oracle.format_cell(t)] + [oracle.format_cell(v) for v in cells]
+            for t, frame in zip(times, values)
+            for x, cells in zip(specials, frame.tolist())
+        ]
+        assert "x\n" + text == oracle.write_rows(["x"], rows, sep)
+        assert "-0" in text and "nan" in text and "-inf" in text and "4.9406564584124654e-324" in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "5", "--n", "12", "--dt", "0.05", "--t-final", "0.5",
+             "--times", "0,0.15,0.45", "--format", "tsv"],
+            ["stability", "--alpha", "1", "--beta", "1", "--dt", "1e80", "--n", "40",
+             "--sweep", "theta=0:1:0.1"],
+        ],
+    )
+    def test_stdout_matches_output_file(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        target = tmp_path / "result.out"
+        code, to_file, _ = run_cli(argv + ["--output", str(target)], capsys)
+        assert code == 0 and to_file == ""
+        assert target.read_bytes() == out.encode()
 
 
 def test_cli_import_loads_no_scipy():

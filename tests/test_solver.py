@@ -21,6 +21,7 @@ from telespline.solver import (
     SchemeParams,
     assemble_step,
     initial_coefficients,
+    output_steps,
     run,
     step,
 )
@@ -45,6 +46,16 @@ class TestSchemeParams:
             SchemeParams(theta=0.5, dt=0.1, t_final=0.05)
         with pytest.raises(ValueError):
             SchemeParams(theta=0.5, dt=0.1, t_final=1.0, forcing_level="x")
+
+    @pytest.mark.parametrize("t_final", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t_final_rejected(self, t_final):
+        with pytest.raises(ValueError, match=f"t_final must be finite, got {t_final}"):
+            SchemeParams(theta=0.5, dt=0.1, t_final=t_final)
+
+    @pytest.mark.parametrize("dt, t_final", [(1e-320, 0.1), (5e-324, 1.0), (1e-300, 1e10)])
+    def test_step_count_overflow_rejected(self, dt, t_final):
+        with pytest.raises(ValueError, match=f"t_final / dt = {t_final} / {dt} is too large"):
+            SchemeParams(theta=0.5, dt=dt, t_final=t_final)
 
     def test_stability_warning(self):
         assert SchemeParams(theta=0.3, dt=0.1, t_final=1.0).stability_warning
@@ -337,6 +348,16 @@ class TestRunContract:
         params = SchemeParams(theta=0.5, dt=0.1, t_final=0.37)
         with pytest.raises(ValueError, match="multiple"):
             run(self.p, self.mesh, params, [0.37])
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match=f"output time {t} is not finite"):
+            output_steps([0.0, t], self.params)
+
+    def test_huge_time_is_outside_not_an_overflow(self):
+        params = SchemeParams(theta=0.5, dt=1e-3, t_final=1.0)
+        with pytest.raises(ValueError, match="outside"):
+            run(self.p, self.mesh, params, [1e308])
 
     def test_unsorted_times_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
