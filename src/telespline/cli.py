@@ -59,6 +59,8 @@ _T_CELL = "{t}"
 
 # the most theta values one --sweep may ask for
 MAX_SWEEP_POINTS = 10**6
+# the most time levels, t = 0 included, that --emit-plot-data may capture
+MAX_PLOT_LEVELS = 10**6
 
 _REQUIRED_KEYS = ("alpha", "beta", "domain", "q", "g1", "g2", "bc", "left", "right")
 _OPTIONAL_KEYS = ("exact", "g1x")
@@ -274,6 +276,11 @@ def _march(
         return mesh, run(problem, mesh, params, times), times, range(len(times))
     # capture every level so the plot file covers the full space-time grid
     positions = output_steps(times, params)
+    if params.last_step >= MAX_PLOT_LEVELS:
+        raise ConfigError(
+            f"--emit-plot-data: t_final {params.t_final} at dt {params.dt} gives "
+            f"{params.last_step + 1} time levels, more than {MAX_PLOT_LEVELS}"
+        )
     grid = [j * params.dt for j in range(params.last_step + 1)]
     return mesh, run(problem, mesh, params, grid), times, positions
 

@@ -17,15 +17,18 @@ right-hand side at a time.  The forward and back substitutions are
 first-order linear recurrences, which ``solve`` evaluates by recursive
 doubling (Stone 1973): level k adds in the entry 2**k places away, weighted
 by the product of the 2**k multipliers between, so about log2(n) vectorised
-numpy passes replace a Python loop over n rows.  The factor counts once how
-many levels have a product of at least 2**-60; later levels change no
-result at double precision and are skipped.  The products themselves are
-formed level by level during each solve, one extra vector multiply per
-level, because keeping every level would hold about log2(n) arrays of
-length n per factor.  LAPACK's ``dgttrs`` would do the same job, but
-importing ``scipy.linalg`` adds about 0.4 s and 28 MiB to every process,
-more than a typical command spends in total, so numpy is the only
-dependency.
+numpy passes replace a Python loop over n rows.  Levels whose products are
+all below 2**-60 change no result at double precision and are left out.
+
+The factor builds these products once, as a plan.  Past the pivots' fixed
+point (below) the multipliers are one constant rho, so each level's products
+there are one scalar, rho**(2**k) by the same squarings, between a short
+head and tail array.  Each level of the plan holds these and views into
+work arrays the factor owns, so a solve is four numpy calls per level and
+allocates only its result; the work arrays make ``solve`` not reentrant.
+LAPACK's ``dgttrs`` would do the same job, but importing ``scipy.linalg``
+adds about 0.4 s and 28 MiB to every process, more than a typical command
+spends in total, so numpy is the only dependency.
 
 The pivot sweep is sequential and runs over Python floats, but the
 matrices of a run have a constant interior stencil: after condensation
@@ -44,7 +47,7 @@ such as theta = 1, dt = 0.1 takes about 3200.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -151,26 +154,52 @@ class CornerTridiagonalFactor:
         # back:    x_i = y_i - (sup_i / p_i) x_{i+1}
         self._forward = -inner_sub / self._pivots[1:]
         self._backward = -inner_sup / self._pivots[:-1]
-        self.levels = (_doubling_depth(self._forward), _doubling_depth(self._backward))
+        # a solve works in two arrays the block is done with: fresh ones would
+        # fault in new pages at every factorisation.  The levels run one after
+        # another, so they share one product buffer.
+        inner = self._inner = inner_diag
+        products = inner_sub
+        self._plan = []
+        self.levels = ()
+        for multipliers, forward in ((self._forward, True), (self._backward, False)):
+            levels = _doubling_coefficients(multipliers)
+            self.levels += (len(levels),)
+            for k, (head, rho, tail) in enumerate(levels):
+                shift = 2**k
+                width = inner.size - shift
+                low, high = inner[:width], inner[shift:]
+                source, target = (low, high) if forward else (high, low)
+                product = products[:width]
+                h, t = head.size, width - tail.size
+                self._plan.append((
+                    source, rho, product, head, source[:h], product[:h],
+                    tail, source[t:], product[t:], target,
+                ))
 
     def solve(self, rhs) -> np.ndarray:
-        """The solution for one right-hand side; ``rhs`` is left untouched."""
+        """The solution for one right-hand side, as a new array; ``rhs`` is
+        left untouched."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.n,):
             raise ValueError(f"rhs needs shape ({self.n},), got {rhs.shape}")
         if not np.isfinite(rhs).all():
             raise ValueError("non-finite entries in rhs")
-        x = np.empty(self.n)
-        inner = x[1:-1]
+        inner = self._inner
         inner[:] = rhs[1:-1]
         inner[0] -= self._fold_top * rhs[0]
         inner[-1] -= self._fold_bottom * rhs[-1]
         inner /= self._pivots
-        forward_depth, backward_depth = self.levels
-        for shift, coefficients in islice(_doubling_levels(self._forward), forward_depth):
-            inner[shift:] += coefficients * inner[:-shift]
-        for shift, coefficients in islice(_doubling_levels(self._backward), backward_depth):
-            inner[:-shift] += coefficients * inner[shift:]
+        multiply, add = np.multiply, np.add
+        for (
+            source, rho, product, head, source_head, product_head,
+            tail, source_tail, product_tail, target,
+        ) in self._plan:
+            multiply(source, rho, out=product)
+            multiply(head, source_head, out=product_head)
+            multiply(tail, source_tail, out=product_tail)
+            add(target, product, out=target)
+        x = np.empty(self.n)
+        x[1:-1] = inner
         d0, sup0, corner_top = self._first_row
         corner_bottom, sub_last, dn = self._last_row
         x[0] = (rhs[0] - sup0 * x[1] - corner_top * x[2]) / d0
@@ -251,14 +280,51 @@ def _doubling_levels(multipliers: np.ndarray) -> Iterator[tuple[int, np.ndarray]
         shift *= 2
 
 
-def _doubling_depth(multipliers: np.ndarray) -> int:
-    """How many doubling levels have a coefficient of at least 2**-60."""
-    depth = 0
-    for _, coefficients in _doubling_levels(multipliers):
-        if max(coefficients.max(), -coefficients.min()) < _NEGLIGIBLE:
-            break
-        depth += 1
-    return depth
+def _constant_run(multipliers: np.ndarray) -> tuple[int, int]:
+    """(start, stop) of the longest run of bit-identical multipliers."""
+    bits = multipliers.view(np.int64)
+    edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    edges = np.concatenate(([0], edges, [multipliers.size]))
+    longest = int(np.argmax(np.diff(edges)))
+    return int(edges[longest]), int(edges[longest + 1])
+
+
+def _doubling_coefficients(
+    multipliers: np.ndarray,
+) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """The (head, rho, tail) coefficients of each doubling level that has a
+    coefficient of at least 2**-60; a level too deep to have a constant
+    middle is all head, with a zero rho whose products the head overwrites.
+
+    The levels are formed on a copy whose constant run is cut to 2**8
+    entries, which gives the same bits for every level whose shift fits in
+    the kept run.  A deeper level would mix head and tail, so that test
+    comes before the negligible test, and the levels are formed again with
+    twice the run kept.
+    """
+    start, stop = _constant_run(multipliers)
+    length = stop - start
+    keep = 2**8
+    while True:
+        kept = min(keep, length)
+        cut = multipliers
+        if kept < length:
+            cut = np.concatenate((multipliers[: start + kept], multipliers[stop:]))
+        levels = []
+        for shift, coefficients in _doubling_levels(cut):
+            if shift > kept < length:
+                break
+            if max(coefficients.max(), -coefficients.min()) < _NEGLIGIBLE:
+                return levels
+            middle = kept - shift + 1
+            if middle > 0:
+                head, rho = coefficients[:start].copy(), float(coefficients[start])
+                levels.append((head, rho, coefficients[start + middle :].copy()))
+            else:
+                levels.append((coefficients, 0.0, coefficients[:0]))
+        if kept == length:
+            return levels
+        keep *= 2
 
 
 def solve(system: CornerTridiagonalSystem) -> np.ndarray:

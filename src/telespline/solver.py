@@ -34,6 +34,8 @@ through that +1, so :func:`run` builds and factors it twice per run: once
 for the first step and once, on the second step, for every later one.
 Each step then builds just its right-hand side and solves with the kept
 factor (:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).
+A step evaluates the spline at the knots twice, for U^j and (U_xx)^j; the
+U^{j-1} it needs is the U^j of the step before, which :func:`run` keeps.
 Problem data are sampled as arrays: every data callable is called once per
 use with the whole knot array (see
 :class:`telespline.problem.TelegraphProblem`), so a step costs one forcing
@@ -113,11 +115,6 @@ class SchemeParams:
         level (to 1e-9), else ``last_step * dt``."""
         end = self.last_step * self.dt
         return self.t_final if abs(self.t_final - end) <= _TIME_ALIGN_TOL else end
-
-    @property
-    def stability_warning(self) -> bool:
-        """True when theta is below the unconditionally stable range."""
-        return self.theta < 0.5
 
 
 @dataclass(frozen=True)
@@ -216,40 +213,49 @@ def _step_rhs(
     w: BasisWeights,
     knots: np.ndarray,
     current: CoefficientFrame,
-    previous: CoefficientFrame,
+    u_prev: np.ndarray | None,
     t_j: float,
     first_step: bool,
-) -> np.ndarray:
-    """The step's right-hand side: collocation rows, then the boundary rows."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The step's right-hand side (collocation rows, then the boundary rows)
+    and U^j at the knots, which the next step takes as its ``u_prev``.
+
+    ``u_prev`` is U^{j-1} at the knots; the first step ignores it.
+    """
     k = params.dt
     theta = params.theta
     alpha = problem.alpha
     beta2 = problem.beta**2
 
     u_now = knot_values(current.values, w, 0)
-    uxx_now = knot_values(current.values, w, 2)
+    scratch = knot_values(current.values, w, 2)
     if params.forcing_level == "j":
         q_vals = sample(problem.forcing, knots, t_j)
     else:
         q_next = sample(problem.forcing, knots, t_j + k)
         q_vals = theta * q_next + (1.0 - theta) * sample(problem.forcing, knots, t_j)
 
+    # 2 (1 + alpha k) U + k^2 (1 - theta) (U_xx - beta^2 U) + k^2 q, summed
+    # left to right; ``scratch`` starts as U_xx, and q may be read-only
     rhs = np.empty(len(knots) + 2)
     rhs_mid = rhs[1:-1]
-    rhs_mid[:] = (
-        2.0 * (1.0 + alpha * k) * u_now
-        + k * k * (1.0 - theta) * (uxx_now - beta2 * u_now)
-        + k * k * q_vals
-    )
+    np.multiply(u_now, beta2, out=rhs_mid)
+    np.subtract(scratch, rhs_mid, out=scratch)
+    np.multiply(scratch, k * k * (1.0 - theta), out=scratch)
+    np.multiply(u_now, 2.0 * (1.0 + alpha * k), out=rhs_mid)
+    np.add(rhs_mid, scratch, out=rhs_mid)
+    np.multiply(q_vals, k * k, out=scratch)
+    np.add(rhs_mid, scratch, out=rhs_mid)
     if first_step:
-        rhs_mid += 2.0 * k * sample(problem.initial_velocity, knots)
+        np.multiply(sample(problem.initial_velocity, knots), 2.0 * k, out=scratch)
+        np.add(rhs_mid, scratch, out=rhs_mid)
     else:
-        rhs_mid -= knot_values(previous.values, w, 0)
+        np.subtract(rhs_mid, u_prev, out=rhs_mid)
 
     t_next = t_j + k
     rhs[0] = problem.boundary.left(t_next)
     rhs[-1] = problem.boundary.right(t_next)
-    return rhs
+    return rhs, u_now
 
 
 def assemble_step(
@@ -269,7 +275,8 @@ def assemble_step(
     w = basis_weights(mesh)
     weights = _step_weights(problem, params, first_step)
     matrix = _collocation_matrix(w, mesh.n_cells, *weights, problem.boundary.kind)
-    rhs = _step_rhs(problem, params, w, mesh.knots(), current, previous, t_j, first_step)
+    u_prev = None if first_step else knot_values(previous.values, w, 0)
+    rhs, _ = _step_rhs(problem, params, w, mesh.knots(), current, u_prev, t_j, first_step)
     return replace(matrix, rhs=rhs)
 
 
@@ -347,8 +354,8 @@ def run(
         frames.append(frame0)
         seconds.append(0.0)
 
-    previous = frame0
     current = frame0
+    u_prev = None
     factor = None
     for j in range(last):
         tic = _time.perf_counter()
@@ -368,14 +375,14 @@ def run(
                 raise
         t_j = j * params.dt
         t_next = t_j + params.dt
-        rhs = _step_rhs(problem, params, w, knots, current, previous, t_j, first_step)
+        rhs, u_prev = _step_rhs(problem, params, w, knots, current, u_prev, t_j, first_step)
         try:
             values = factor.solve(rhs)
         except ValueError as exc:
             raise ValueError(f"step {j} (t = {t_next:.12g}): {exc}") from exc
         advanced = CoefficientFrame(values=values, time=t_next)
         elapsed += _time.perf_counter() - tic
-        previous, current = current, advanced
+        current = advanced
         if j + 1 in wanted:
             frames.append(advanced)
             seconds.append(elapsed)

@@ -3,14 +3,25 @@
 None of this is used by the library itself: a dense matrix view of a
 corner-tridiagonal system, a dense Gaussian-elimination solver, the plain
 pivot sweep that marches every row, without the fixed-point exit of
-:func:`telespline.linalg._pivot_sweep`, and the per-cell output writer that
-the CLI's frame templates must match byte for byte.
+:func:`telespline.linalg._pivot_sweep`, the factor solve that forms every
+doubling level in full on each call, which the factor's prebuilt plan must
+match bit for bit, and the per-cell output writer that the CLI's frame
+templates must match byte for byte.
 """
+
+from itertools import islice
 
 import numpy as np
 
 from telespline.basis import basis_weights, knot_values
-from telespline.linalg import _PIVOT_FLOOR, CornerTridiagonalSystem, SingularSystemError
+from telespline.linalg import (
+    _NEGLIGIBLE,
+    _PIVOT_FLOOR,
+    CornerTridiagonalFactor,
+    CornerTridiagonalSystem,
+    SingularSystemError,
+    _doubling_levels,
+)
 from telespline.metrics import error_norms
 from telespline.problem import sample
 
@@ -74,6 +85,40 @@ def plain_pivot_sweep(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.
             raise SingularSystemError(row + 1, pivot)
         pivots[row] = pivot
     return pivots
+
+
+def doubling_depth(multipliers: np.ndarray) -> int:
+    """How many doubling levels have a coefficient of at least 2**-60, with
+    every level formed over the full multiplier array."""
+    depth = 0
+    for _, coefficients in _doubling_levels(multipliers):
+        if max(coefficients.max(), -coefficients.min()) < _NEGLIGIBLE:
+            break
+        depth += 1
+    return depth
+
+
+def reference_solve(factor: CornerTridiagonalFactor, rhs) -> tuple[np.ndarray, tuple[int, int]]:
+    """The solution for ``rhs`` and the (forward, back) level counts, from
+    ``factor``'s pivots and multipliers, with each level's products formed
+    in full on every call."""
+    rhs = np.asarray(rhs, dtype=float)
+    levels = (doubling_depth(factor._forward), doubling_depth(factor._backward))
+    x = np.empty(factor.n)
+    inner = x[1:-1]
+    inner[:] = rhs[1:-1]
+    inner[0] -= factor._fold_top * rhs[0]
+    inner[-1] -= factor._fold_bottom * rhs[-1]
+    inner /= factor._pivots
+    for shift, coefficients in islice(_doubling_levels(factor._forward), levels[0]):
+        inner[shift:] += coefficients * inner[:-shift]
+    for shift, coefficients in islice(_doubling_levels(factor._backward), levels[1]):
+        inner[:-shift] += coefficients * inner[shift:]
+    d0, sup0, corner_top = factor._first_row
+    corner_bottom, sub_last, dn = factor._last_row
+    x[0] = (rhs[0] - sup0 * x[1] - corner_top * x[2]) / d0
+    x[-1] = (rhs[-1] - corner_bottom * x[-3] - sub_last * x[-2]) / dn
+    return x, levels
 
 
 def format_cell(value) -> str:

@@ -572,6 +572,36 @@ class TestExitCodes:
         assert fragment in err
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_plot_level_cap_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        # dt 0.1 up to t_final 1 is the 11 levels 0 .. 10
+        args = ["solve", "--problem", "1", "--n", "6", "--dt", "0.1", "--t-final", "1"]
+        args += ["--emit-plot-data", str(tmp_path / "grid.csv")]
+        monkeypatch.setattr(cli, "MAX_PLOT_LEVELS", 11)
+        assert run_cli(args, capsys)[0] == 0
+        (tmp_path / "grid.csv").unlink()
+        monkeypatch.setattr(cli, "MAX_PLOT_LEVELS", 10)
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert "gives 11 time levels, more than 10" in err
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_runaway_plot_grid_is_rejected_before_building_it(self, monkeypatch):
+        # 10**12 levels would take terabytes; the count check must come first
+        monkeypatch.setattr(cli, "MAX_PLOT_LEVELS", 1000)
+        config = cli.RunConfig(
+            problem_id=1, config_path=None, n_cells=6, dt=1e-12, theta=0.5, t_final=1.0,
+            times=None, fmt="csv", output=None, forcing_level="j", plot_data="grid.csv",
+        )
+        problem = telespline.builtin_problem(1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.ConfigError, match="time levels, more than 1000$"):
+                cli._march(problem, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     @pytest.mark.parametrize(
         "timing, fragment",
         [

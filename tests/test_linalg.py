@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from telespline import linalg
@@ -22,7 +22,7 @@ from telespline.solver import (
     initial_coefficients,
 )
 
-from oracle import dense, dense_solve_oracle, plain_pivot_sweep
+from oracle import dense, dense_solve_oracle, plain_pivot_sweep, reference_solve
 
 
 def random_dominant_system(rng, n):
@@ -196,6 +196,19 @@ class TestFactor:
         rhs = rng.uniform(-1.0, 1.0, 12)
         before = rhs.copy()
         factor.solve(rhs)
+        assert np.array_equal(rhs, before)
+
+    def test_solves_share_no_memory(self):
+        # solve works in a buffer the factor keeps: results must be copies
+        rng = np.random.default_rng(4)
+        factor = CornerTridiagonalFactor(random_dominant_system(rng, 12))
+        rhs = rng.uniform(-1.0, 1.0, (2, 12))
+        before = rhs.copy()
+        first = factor.solve(rhs[0])
+        kept = first.copy()
+        second = factor.solve(rhs[1])
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept) and not np.array_equal(first, second)
         assert np.array_equal(rhs, before)
 
     @pytest.mark.parametrize("problem_id", [1, 5])
@@ -422,3 +435,69 @@ def test_fixed_point_sweep_matches_plain_sweep_property(problem_id, n_cells, the
     except DegenerateMeshError:
         reject()  # e.g. problem 5 at 3 cells: h = 2 pi / 3 has no spline basis
     assert_sweep_matches_reference(system)
+
+
+def assert_plan_matches_reference(system, seed=0):
+    """The factor's solves and ``levels`` equal the reference solve's bit for
+    bit, for a few right-hand sides in a row."""
+    factor = CornerTridiagonalFactor(system)
+    rng = np.random.default_rng(seed)
+    for rhs in rng.uniform(-5.0, 5.0, (3, system.n)):
+        want, levels = reference_solve(factor, rhs)
+        assert factor.levels == levels
+        assert np.array_equal(factor.solve(rhs).view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem_id=st.integers(1, 5),
+    n_cells=st.integers(3, 3000),
+    theta=st.floats(0.0, 1.0),
+    dt=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+    first_step=st.booleans(),
+)
+# levels (10, 10): shifts up to 2**9 fit only once the run is kept to 2**10
+@example(problem_id=2, n_cells=3001, theta=1.0, dt=0.01, first_step=False)
+def test_doubling_plan_matches_reference_on_step_matrices(
+    problem_id, n_cells, theta, dt, first_step
+):
+    try:
+        system = step_matrix(problem_id, n_cells, theta, dt, first_step)
+        assert_plan_matches_reference(system)
+    except (DegenerateMeshError, SingularSystemError):
+        reject()  # no basis at this h, or Dirichlet at theta = 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(4, 6), st.integers(7, 2000)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_doubling_plan_matches_reference_without_a_constant_stencil(n, seed):
+    assert_plan_matches_reference(random_dominant_system(np.random.default_rng(seed), n), seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    head=st.integers(0, 300),
+    run=st.integers(0, 1500),
+    tail=st.integers(0, 300),
+    gap=st.floats(-3.5, 1.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**31 - 1),
+)
+# 300 rows after the run: level 2**9 is all negligible on the cut copy only
+@example(head=0, run=1200, tail=300, gap=4e-3, seed=1)
+def test_doubling_plan_matches_reference_around_a_constant_run(head, run, tail, gap, seed):
+    # random dominant rows around a run of the (-1, 2 + gap, -1) stencil.  A
+    # small gap keeps the multipliers near 1, so many levels count, and the
+    # pivots reach their fixed point within the run only after some hundred
+    # rows; a constant stretch longer than 2**8 is then cut, and levels with
+    # larger shifts need the plan formed again on a longer cut
+    rng = np.random.default_rng(seed)
+    size = max(head + run + tail, 2)
+    sub = rng.uniform(-1.0, 1.0, size - 1)
+    sup = rng.uniform(-1.0, 1.0, size - 1)
+    diag = rng.uniform(3.0, 4.0, size)
+    sub[head : head + run] = sup[head : head + run] = -1.0
+    diag[head : head + run] = 2.0 + gap
+    assert_plan_matches_reference(block_system(sub, diag, sup), seed)

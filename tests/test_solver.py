@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from telespline import linalg
+from telespline import linalg, solver
 from telespline.basis import UniformMesh, basis_weights, evaluate_solution, knot_values
 from telespline.linalg import SingularSystemError, solve
 from telespline.metrics import error_norms
@@ -56,11 +56,6 @@ class TestSchemeParams:
     def test_step_count_overflow_rejected(self, dt, t_final):
         with pytest.raises(ValueError, match=f"t_final / dt = {t_final} / {dt} is too large"):
             SchemeParams(theta=0.5, dt=dt, t_final=t_final)
-
-    def test_stability_warning(self):
-        assert SchemeParams(theta=0.3, dt=0.1, t_final=1.0).stability_warning
-        assert not SchemeParams(theta=0.5, dt=0.1, t_final=1.0).stability_warning
-        assert not SchemeParams(theta=0.7, dt=0.1, t_final=1.0).stability_warning
 
 
 class TestInitialFit:
@@ -319,6 +314,25 @@ class TestRunContract:
         assert len(history.stepping_seconds) == 3
         assert history.stepping_seconds[0] == 0.0
         assert history.stepping_seconds == sorted(history.stepping_seconds)
+
+    def test_frames_are_separate_arrays(self):
+        # the factor solves in buffers it reuses; each frame must be its own
+        frames = run(self.p, self.mesh, self.params, [0.1 * j for j in range(11)]).frames
+        for i, frame in enumerate(frames):
+            for other in frames[i + 1 :]:
+                assert not np.shares_memory(frame.values, other.values)
+
+    def test_two_knot_evaluations_per_step(self, monkeypatch):
+        # U^{j-1} at the knots is the U^j of the step before, not evaluated again
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2] if len(args) > 2 else 0)
+            return knot_values(*args)
+
+        monkeypatch.setattr(solver, "knot_values", counted)
+        run(self.p, self.mesh, self.params, [1.0])
+        assert sorted(calls) == [0] * 10 + [2] * 10
 
     def test_initial_frame_only(self):
         history = run(self.p, self.mesh, self.params, [0.0])
