@@ -14,6 +14,18 @@ omega = sin(h/2) sin(h) sin(3h/2), the four branches are
             + xi(x_i) zeta(x_{i+3})^2                          on [x_{i+2}, x_{i+3}]
         zeta(x_{i+4})^3                                        on [x_{i+3}, x_{i+4}]
 
+On a uniform mesh the four functions that are nonzero on the cell
+[x_c, x_{c+1}] are fixed functions of the offset u = x - x_c.  With
+s_m = sin((u - m h)/2), which is xi(x_{c+m}) and -zeta(x_{c+m}),
+
+    TB_{c-3} * omega = -s_1^3
+    TB_{c-2} * omega = s_2 s_{-1} s_1 + s_2^2 s_0 + s_{-2} s_1^2
+    TB_{c-1} * omega = -(s_{-1}^2 s_1 + s_{-1} s_2 s_0 + s_3 s_0^2)
+    TB_c     * omega = s_0^3
+
+for any u, not only inside the cell.  One kernel evaluates these four on an
+array of offsets; every off-knot evaluation in this module goes through it.
+
 At the five knots of its support the triple (value, first, second derivative)
 takes the tabulated weights
 
@@ -138,81 +150,58 @@ def basis_weights(mesh: UniformMesh) -> BasisWeights:
     return BasisWeights(a1, a2, a3, a4, a5, a6)
 
 
-def _xi(x: float, knot: float) -> tuple[float, float, float]:
-    """sin((x - knot)/2) with first and second x-derivatives."""
-    half = (x - knot) / 2
-    v = math.sin(half)
-    return v, math.cos(half) / 2, -v / 4
-
-
-def _zeta(x: float, knot: float) -> tuple[float, float, float]:
-    """sin((knot - x)/2) with first and second x-derivatives."""
-    half = (knot - x) / 2
-    v = math.sin(half)
-    return v, -math.cos(half) / 2, -v / 4
-
-
-def _mul(
-    p: tuple[float, float, float], q: tuple[float, float, float]
-) -> tuple[float, float, float]:
-    """Product rule on (value, d1, d2) triples."""
-    return (
-        p[0] * q[0],
-        p[1] * q[0] + p[0] * q[1],
-        p[2] * q[0] + 2 * p[1] * q[1] + p[0] * q[2],
+def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product rule on (value, d1, d2) triples stacked along the first axis."""
+    return np.stack(
+        (
+            p[0] * q[0],
+            p[1] * q[0] + p[0] * q[1],
+            p[2] * q[0] + 2 * p[1] * q[1] + p[0] * q[2],
+        )
     )
 
 
-def _add(*terms: tuple[float, float, float]) -> tuple[float, float, float]:
-    return (
-        sum(t[0] for t in terms),
-        sum(t[1] for t in terms),
-        sum(t[2] for t in terms),
+def _cell_basis(u, mesh: UniformMesh) -> np.ndarray:
+    """(value, d1, d2) of TB_{c-3} .. TB_c at the offsets u = x - x_c.
+
+    The result has shape ``(3,) + u.shape + (4,)``: derivative order first,
+    the four basis functions of cell c last.  The formulas hold for any u,
+    not only for x inside the cell.
+    """
+    _require_nondegenerate(mesh)
+    h = mesh.h
+    # half[m + 2] = (u - m h)/2 for m = -2 .. 3
+    half = np.subtract.outer(h * np.arange(-2, 4), u) / -2
+    sines = np.sin(half)
+    sm2, sm1, s0, s1, s2, s3 = np.stack((sines, np.cos(half) / 2, -sines / 4), axis=1)
+    s00, s11 = _mul(s0, s0), _mul(s1, s1)
+    columns = (
+        -_mul(s11, s1),
+        _mul(_mul(s2, sm1), s1) + _mul(_mul(s2, s2), s0) + _mul(sm2, s11),
+        -(_mul(_mul(sm1, sm1), s1) + _mul(_mul(sm1, s2), s0) + _mul(s3, s00)),
+        _mul(s00, s0),
     )
+    omega = math.sin(h / 2) * math.sin(h) * math.sin(3 * h / 2)
+    return np.stack(columns, axis=-1) / omega
 
 
 def _branch_values(i: int, branch: int, x: float, mesh: UniformMesh) -> BasisValue:
     """Evaluate one branch formula of TB_i, regardless of where x lies."""
-    t = [mesh.knot(i + j) for j in range(5)]
-    if branch == 0:
-        raw = _mul(_mul(_xi(x, t[0]), _xi(x, t[0])), _xi(x, t[0]))
-    elif branch == 1:
-        raw = _add(
-            _mul(_mul(_xi(x, t[0]), _xi(x, t[0])), _zeta(x, t[2])),
-            _mul(_mul(_xi(x, t[0]), _zeta(x, t[3])), _xi(x, t[1])),
-            _mul(_mul(_zeta(x, t[4]), _xi(x, t[1])), _xi(x, t[1])),
-        )
-    elif branch == 2:
-        raw = _add(
-            _mul(_mul(_zeta(x, t[4]), _xi(x, t[1])), _zeta(x, t[3])),
-            _mul(_mul(_zeta(x, t[4]), _zeta(x, t[4])), _xi(x, t[2])),
-            _mul(_mul(_xi(x, t[0]), _zeta(x, t[3])), _zeta(x, t[3])),
-        )
-    elif branch == 3:
-        raw = _mul(_mul(_zeta(x, t[4]), _zeta(x, t[4])), _zeta(x, t[4]))
-    else:
+    if branch not in (0, 1, 2, 3):
         raise ValueError(f"branch index must be 0..3, got {branch}")
-    h = mesh.h
-    omega = math.sin(h / 2) * math.sin(h) * math.sin(3 * h / 2)
-    return BasisValue(raw[0] / omega, raw[1] / omega, raw[2] / omega)
+    # branch j of TB_i is the formula of TB_{c-(3-j)} on cell c = i + j
+    value, d1, d2 = _cell_basis(x - mesh.knot(i + branch), mesh)[:, 3 - branch]
+    return BasisValue(float(value), float(d1), float(d2))
 
 
 def eval_basis_all(i: int, x: float, mesh: UniformMesh) -> BasisValue:
     """Value, d1 and d2 of TB_i at x; zero triple outside the support."""
     _require_nondegenerate(mesh)
     t0 = mesh.knot(i)
-    t4 = mesh.knot(i + 4)
-    if x < t0 or x > t4:
+    if x < t0 or x > mesh.knot(i + 4):
         return BasisValue(0.0, 0.0, 0.0)
     # a point sitting exactly on an interior knot belongs to the left branch
-    if x <= mesh.knot(i + 1):
-        branch = 0
-    elif x <= mesh.knot(i + 2):
-        branch = 1
-    elif x <= mesh.knot(i + 3):
-        branch = 2
-    else:
-        branch = 3
+    branch = sum(x > mesh.knot(i + j) for j in (1, 2, 3))
     return _branch_values(i, branch, x, mesh)
 
 
@@ -224,14 +213,15 @@ def eval_basis(i: int, x: float, mesh: UniformMesh, derivative_order: int = 0) -
     return (triple.value, triple.d1, triple.d2)[derivative_order]
 
 
-def evaluate_solution(
-    coeffs, x: float, mesh: UniformMesh, derivative_order: int = 0
-) -> float:
-    """Evaluate a spline expansion sum_i C_i TB_i at a point of [a, b].
+def evaluate_solution(coeffs, x, mesh: UniformMesh, derivative_order: int = 0):
+    """Evaluate a spline expansion sum_i C_i TB_i at points of [a, b].
 
     ``coeffs`` is the coefficient vector C_{-3} .. C_{N-1} (length N + 3),
-    or any object carrying it as a ``values`` attribute.  Only the (at most
-    four) basis functions whose support contains x contribute.
+    or any object carrying it as a ``values`` attribute.  ``x`` is a float
+    or an array; the result has x's shape, a numpy float for a float x.
+    A point x takes the four basis functions of the cell c with
+    x_c <= x < x_{c+1}, so on a knot its offset u is 0 and it matches
+    :func:`knot_values` to rounding.
     """
     values = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
     n = mesh.n_cells
@@ -239,13 +229,19 @@ def evaluate_solution(
         raise ValueError(
             f"expected {n + 3} coefficients for {n} cells, got shape {values.shape}"
         )
-    if x < mesh.a or x > mesh.b:
-        raise ValueError(f"point {x} lies outside the domain [{mesh.a}, {mesh.b}]")
-    cell = min(n - 1, max(0, int((x - mesh.a) // mesh.h)))
-    total = 0.0
-    for i in range(cell - 3, cell + 1):
-        total += values[i + 3] * eval_basis(i, x, mesh, derivative_order)
-    return total
+    if derivative_order not in (0, 1, 2):
+        raise ValueError(f"derivative_order must be 0, 1 or 2, got {derivative_order}")
+    x = np.asarray(x, dtype=float)
+    outside = ~((x >= mesh.a) & (x <= mesh.b))  # NaN included
+    if outside.any():
+        point = float(x.flat[np.argmax(outside)])
+        raise ValueError(f"point {point} lies outside the domain [{mesh.a}, {mesh.b}]")
+    knots = mesh.knots()
+    cell = np.searchsorted(knots, x, side="right") - 1  # c = N at x = b
+    basis = _cell_basis(x - knots[cell], mesh)[derivative_order]
+    # C_N = 0 stands for TB_N, the fourth function of cell N, zero at b
+    padded = np.append(values, 0.0)
+    return np.sum(basis * padded[cell[..., None] + np.arange(4)], axis=-1)
 
 
 def knot_values(

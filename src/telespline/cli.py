@@ -38,7 +38,6 @@ import argparse
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -79,23 +78,6 @@ _KEY_VARIABLES = {
 
 class ConfigError(ValueError):
     """A problem with user-supplied configuration (file or flags)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one solve/bench invocation needs."""
-
-    problem_id: Optional[int]
-    config_path: Optional[str]
-    n_cells: int
-    dt: float
-    theta: float
-    t_final: float
-    times: Optional[tuple[float, ...]]  # None: t_final, or the last step level before it
-    fmt: str
-    output: Optional[str]
-    forcing_level: str
-    plot_data: Optional[str] = None
 
 
 def _parse_constant(text: str, where: str) -> float:
@@ -239,11 +221,11 @@ def load_problem_config(path: str) -> TelegraphProblem:
     )
 
 
-def _load_problem(config: RunConfig) -> TelegraphProblem:
-    if config.config_path is not None:
-        return load_problem_config(config.config_path)
-    assert config.problem_id is not None
-    return builtin_problem(config.problem_id)
+def _load_problem(args: argparse.Namespace) -> TelegraphProblem:
+    """The problem of ``--config``, or else of ``--problem``."""
+    if args.config is not None:
+        return load_problem_config(args.config)
+    return builtin_problem(args.problem)
 
 
 def _emit(path: Optional[str], header: Sequence[str], blocks: Iterable[str], sep: str) -> None:
@@ -265,14 +247,15 @@ def _frame_blocks(
 
 
 def _march(
-    problem: TelegraphProblem, config: RunConfig
+    problem: TelegraphProblem, args: argparse.Namespace
 ) -> tuple[UniformMesh, SolutionHistory, Sequence[float], Sequence[int]]:
-    """Run the stepping loop; return the mesh, the history, the output times,
-    and the position in ``history.frames`` of each output time."""
-    mesh = UniformMesh(problem.domain[0], problem.domain[1], config.n_cells)
-    params = SchemeParams(config.theta, config.dt, config.t_final, config.forcing_level)
-    times = config.times if config.times is not None else (params.last_time,)
-    if config.plot_data is None:
+    """Run the stepping loop; return the mesh, the history, the output times
+    (``--times``, else t_final or the last step level before it), and the
+    position in ``history.frames`` of each output time."""
+    mesh = UniformMesh(problem.domain[0], problem.domain[1], args.n)
+    params = SchemeParams(args.theta, args.dt, args.t_final, args.forcing_level)
+    times = _parse_times(args.times) if args.times else (params.last_time,)
+    if args.emit_plot_data is None:
         return mesh, run(problem, mesh, params, times), times, range(len(times))
     # capture every level so the plot file covers the full space-time grid
     positions = output_steps(times, params)
@@ -285,20 +268,22 @@ def _march(
     return mesh, run(problem, mesh, params, grid), times, positions
 
 
-def _write_plot_data(mesh: UniformMesh, history: SolutionHistory, config: RunConfig) -> None:
-    sep = _SEPARATORS[config.fmt]
+def _write_plot_data(
+    mesh: UniformMesh, history: SolutionHistory, args: argparse.Namespace
+) -> None:
+    sep = _SEPARATORS[args.format]
     coeffs = np.stack([frame.values for frame in history.frames])
     values = knot_values(coeffs, basis_weights(mesh), 0)
     times = [frame.time for frame in history.frames]
     blocks = _frame_blocks(mesh.knots(), sep, "%.17g", times, values)
-    _emit(config.plot_data, ["x", "t", "u"], blocks, sep)
+    _emit(args.emit_plot_data, ["x", "t", "u"], blocks, sep)
 
 
-def cmd_solve(config: RunConfig) -> None:
+def cmd_solve(args: argparse.Namespace) -> None:
     """Write the solution at the requested times, knot by knot."""
-    problem = _load_problem(config)
-    mesh, history, times, positions = _march(problem, config)
-    sep = _SEPARATORS[config.fmt]
+    problem = _load_problem(args)
+    mesh, history, times, positions = _march(problem, args)
+    sep = _SEPARATORS[args.format]
     knots = mesh.knots()
     coeffs = np.stack([history.frames[pos].values for pos in positions])
     u = knot_values(coeffs, basis_weights(mesh), 0)
@@ -308,29 +293,29 @@ def cmd_solve(config: RunConfig) -> None:
         exact = np.stack([sample(problem.exact, knots, t) for t in times])
         cells, values = sep.join(["%.17g"] * 3), np.stack((u, exact, u - exact), axis=-1)
     blocks = _frame_blocks(knots, sep, cells, times, values)
-    _emit(config.output, ["x", "t", "u", "exact", "error"], blocks, sep)
-    if config.plot_data is not None:
-        _write_plot_data(mesh, history, config)
+    _emit(args.output, ["x", "t", "u", "exact", "error"], blocks, sep)
+    if args.emit_plot_data is not None:
+        _write_plot_data(mesh, history, args)
 
 
-def cmd_bench(config: RunConfig) -> None:
+def cmd_bench(args: argparse.Namespace) -> None:
     """Write error norms and stepping time per requested output time."""
-    problem = _load_problem(config)
+    problem = _load_problem(args)
     if problem.exact is None:
         raise ConfigError(
             "bench needs an exact solution; use a built-in problem or add an "
             "'exact =' line to the config"
         )
-    mesh, history, times, positions = _march(problem, config)
-    sep = _SEPARATORS[config.fmt]
+    mesh, history, times, positions = _march(problem, args)
+    sep = _SEPARATORS[args.format]
     line = sep.join(["%.17g"] * 5) + "\n"
     lines = []
     for t, pos in zip(times, positions):
         report = error_norms(history.frames[pos], problem, mesh)
         lines.append(line % (t, report.l2, report.l_inf, report.rms, history.stepping_seconds[pos]))
-    _emit(config.output, ["t", "L2", "Linf", "RMS", "cpu_seconds"], lines, sep)
-    if config.plot_data is not None:
-        _write_plot_data(mesh, history, config)
+    _emit(args.output, ["t", "L2", "Linf", "RMS", "cpu_seconds"], lines, sep)
+    if args.emit_plot_data is not None:
+        _write_plot_data(mesh, history, args)
 
 
 def cmd_stability(args: argparse.Namespace) -> None:
@@ -414,39 +399,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    times = _parse_times(args.times) if args.times else None
-    return RunConfig(
-        problem_id=args.problem,
-        config_path=args.config,
-        n_cells=args.n,
-        dt=args.dt,
-        theta=args.theta,
-        t_final=args.t_final,
-        times=times,
-        fmt=args.format,
-        output=args.output,
-        forcing_level=args.forcing_level,
-        plot_data=args.emit_plot_data,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            cmd_solve(_run_config_from_args(args))
+            cmd_solve(args)
         elif args.command == "bench":
-            cmd_bench(_run_config_from_args(args))
+            cmd_bench(args)
         else:
             cmd_stability(args)
     except SingularSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and ExpressionError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

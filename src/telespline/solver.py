@@ -95,7 +95,7 @@ class SchemeParams:
             raise ValueError(
                 f"t_final must be at least one step, got {self.t_final} < {self.dt}"
             )
-        if not math.isfinite((self.t_final + _TIME_ALIGN_TOL) / self.dt):
+        if not math.isfinite((self.t_final + self.align_tol) / self.dt):
             raise ValueError(
                 f"t_final / dt = {self.t_final} / {self.dt} is too large to count the steps"
             )
@@ -105,16 +105,22 @@ class SchemeParams:
             )
 
     @property
+    def align_tol(self) -> float:
+        """How far a time may lie from a step level and still count as on it:
+        1e-9, or a millionth of dt when dt is below 1e-3."""
+        return min(_TIME_ALIGN_TOL, 1e-6 * self.dt)
+
+    @property
     def last_step(self) -> int:
-        """Index of the last step level within t_final (to 1e-9)."""
-        return int((self.t_final + _TIME_ALIGN_TOL) / self.dt)
+        """Index of the last step level within t_final (to ``align_tol``)."""
+        return int((self.t_final + self.align_tol) / self.dt)
 
     @property
     def last_time(self) -> float:
         """Time of level ``last_step``: t_final itself when it lies on that
-        level (to 1e-9), else ``last_step * dt``."""
+        level (to ``align_tol``), else ``last_step * dt``."""
         end = self.last_step * self.dt
-        return self.t_final if abs(self.t_final - end) <= _TIME_ALIGN_TOL else end
+        return self.t_final if abs(self.t_final - end) <= self.align_tol else end
 
 
 @dataclass(frozen=True)
@@ -297,26 +303,27 @@ def step(
 def output_steps(times: Sequence[float], params: SchemeParams) -> list[int]:
     """The step index j of each output time t = j * dt.
 
-    Each time must lie within 1e-9 of a step level in [0, t_final] (the
-    levels 0 .. ``params.last_step``), and the times must be strictly
-    increasing; otherwise ``ValueError``.
+    Each time must lie within ``params.align_tol`` of a step level in
+    [0, t_final] (the levels 0 .. ``params.last_step``), and the times must
+    be strictly increasing; otherwise ``ValueError``.
     """
     times = [float(t) for t in times]
     if not times:
         raise ValueError("at least one output time is required")
+    tol, last = params.align_tol, params.last_step
     steps: list[int] = []
     for t in times:
         if not math.isfinite(t):
             raise ValueError(f"output time {t} is not finite")
-        if not -_TIME_ALIGN_TOL <= t <= params.t_final + _TIME_ALIGN_TOL:
+        if not -tol <= t <= params.t_final + tol:
             raise ValueError(f"output time {t} outside [0, {params.t_final}]")
         # t / dt is finite here, since (t_final + tol) / dt is
         j = int(round(t / params.dt))
-        if abs(t - j * params.dt) > _TIME_ALIGN_TOL:
+        if abs(t - j * params.dt) > tol:
             raise ValueError(
                 f"output time {t} is not a multiple of the step {params.dt}"
             )
-        if not 0 <= j <= params.last_step:
+        if not 0 <= j <= last:
             raise ValueError(f"output time {t} outside [0, {params.t_final}]")
         steps.append(j)
     if any(b <= a for a, b in zip(steps, steps[1:])):

@@ -5,15 +5,24 @@ corner-tridiagonal system, a dense Gaussian-elimination solver, the plain
 pivot sweep that marches every row, without the fixed-point exit of
 :func:`telespline.linalg._pivot_sweep`, the factor solve that forms every
 doubling level in full on each call, which the factor's prebuilt plan must
-match bit for bit, and the per-cell output writer that the CLI's frame
-templates must match byte for byte.
+match bit for bit, the scalar spline evaluator that picks each basis
+function's branch on absolute knots, which the cell kernel of
+:mod:`telespline.basis` must match to rounding, and the per-cell output
+writer that the CLI's frame templates must match byte for byte.
 """
 
+import math
 from itertools import islice
 
 import numpy as np
 
-from telespline.basis import basis_weights, knot_values
+from telespline.basis import (
+    BasisValue,
+    UniformMesh,
+    _require_nondegenerate,
+    basis_weights,
+    knot_values,
+)
 from telespline.linalg import (
     _NEGLIGIBLE,
     _PIVOT_FLOOR,
@@ -119,6 +128,116 @@ def reference_solve(factor: CornerTridiagonalFactor, rhs) -> tuple[np.ndarray, t
     x[0] = (rhs[0] - sup0 * x[1] - corner_top * x[2]) / d0
     x[-1] = (rhs[-1] - corner_bottom * x[-3] - sub_last * x[-2]) / dn
     return x, levels
+
+
+def _xi(x: float, knot: float) -> tuple[float, float, float]:
+    """sin((x - knot)/2) with first and second x-derivatives."""
+    half = (x - knot) / 2
+    v = math.sin(half)
+    return v, math.cos(half) / 2, -v / 4
+
+
+def _zeta(x: float, knot: float) -> tuple[float, float, float]:
+    """sin((knot - x)/2) with first and second x-derivatives."""
+    half = (knot - x) / 2
+    v = math.sin(half)
+    return v, -math.cos(half) / 2, -v / 4
+
+
+def _mul(
+    p: tuple[float, float, float], q: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    """Product rule on (value, d1, d2) triples."""
+    return (
+        p[0] * q[0],
+        p[1] * q[0] + p[0] * q[1],
+        p[2] * q[0] + 2 * p[1] * q[1] + p[0] * q[2],
+    )
+
+
+def _add(*terms: tuple[float, float, float]) -> tuple[float, float, float]:
+    return (
+        sum(t[0] for t in terms),
+        sum(t[1] for t in terms),
+        sum(t[2] for t in terms),
+    )
+
+
+def _branch_values(i: int, branch: int, x: float, mesh: UniformMesh) -> BasisValue:
+    """Evaluate one branch formula of TB_i, regardless of where x lies."""
+    t = [mesh.knot(i + j) for j in range(5)]
+    if branch == 0:
+        raw = _mul(_mul(_xi(x, t[0]), _xi(x, t[0])), _xi(x, t[0]))
+    elif branch == 1:
+        raw = _add(
+            _mul(_mul(_xi(x, t[0]), _xi(x, t[0])), _zeta(x, t[2])),
+            _mul(_mul(_xi(x, t[0]), _zeta(x, t[3])), _xi(x, t[1])),
+            _mul(_mul(_zeta(x, t[4]), _xi(x, t[1])), _xi(x, t[1])),
+        )
+    elif branch == 2:
+        raw = _add(
+            _mul(_mul(_zeta(x, t[4]), _xi(x, t[1])), _zeta(x, t[3])),
+            _mul(_mul(_zeta(x, t[4]), _zeta(x, t[4])), _xi(x, t[2])),
+            _mul(_mul(_xi(x, t[0]), _zeta(x, t[3])), _zeta(x, t[3])),
+        )
+    elif branch == 3:
+        raw = _mul(_mul(_zeta(x, t[4]), _zeta(x, t[4])), _zeta(x, t[4]))
+    else:
+        raise ValueError(f"branch index must be 0..3, got {branch}")
+    h = mesh.h
+    omega = math.sin(h / 2) * math.sin(h) * math.sin(3 * h / 2)
+    return BasisValue(raw[0] / omega, raw[1] / omega, raw[2] / omega)
+
+
+def eval_basis_all(i: int, x: float, mesh: UniformMesh) -> BasisValue:
+    """Value, d1 and d2 of TB_i at x; zero triple outside the support."""
+    _require_nondegenerate(mesh)
+    t0 = mesh.knot(i)
+    t4 = mesh.knot(i + 4)
+    if x < t0 or x > t4:
+        return BasisValue(0.0, 0.0, 0.0)
+    # a point sitting exactly on an interior knot belongs to the left branch
+    if x <= mesh.knot(i + 1):
+        branch = 0
+    elif x <= mesh.knot(i + 2):
+        branch = 1
+    elif x <= mesh.knot(i + 3):
+        branch = 2
+    else:
+        branch = 3
+    return _branch_values(i, branch, x, mesh)
+
+
+def eval_basis(i: int, x: float, mesh: UniformMesh, derivative_order: int = 0) -> float:
+    """Evaluate TB_i or one of its first two derivatives at x."""
+    if derivative_order not in (0, 1, 2):
+        raise ValueError(f"derivative_order must be 0, 1 or 2, got {derivative_order}")
+    triple = eval_basis_all(i, x, mesh)
+    return (triple.value, triple.d1, triple.d2)[derivative_order]
+
+
+def evaluate_solution(
+    coeffs, x: float, mesh: UniformMesh, derivative_order: int = 0
+) -> float:
+    """Evaluate a spline expansion sum_i C_i TB_i at a point of [a, b].
+
+    ``coeffs`` is the coefficient vector C_{-3} .. C_{N-1} (length N + 3),
+    or any object carrying it as a ``values`` attribute.  Only the (at most
+    four) basis functions whose support contains x contribute.
+    """
+    values = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
+    n = mesh.n_cells
+    if values.shape != (n + 3,):
+        raise ValueError(
+            f"expected {n + 3} coefficients for {n} cells, got shape {values.shape}"
+        )
+    if x < mesh.a or x > mesh.b:
+        raise ValueError(f"point {x} lies outside the domain [{mesh.a}, {mesh.b}]")
+    cell = min(n - 1, max(0, int((x - mesh.a) // mesh.h)))
+    total = 0.0
+    for i in range(cell - 3, cell + 1):
+        total += values[i + 3] * eval_basis(i, x, mesh, derivative_order)
+    return total
 
 
 def format_cell(value) -> str:

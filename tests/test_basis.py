@@ -18,6 +18,8 @@ from telespline.basis import (
     knot_values,
 )
 
+import oracle
+
 # frozen against a 30-digit mpmath evaluation of the closed forms
 WEIGHTS_PI_THIRD = (
     0.28867513459481288,
@@ -276,3 +278,79 @@ def test_expansion_linearity_property(h, coeff, scale):
         base, w, 0
     )
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
+
+
+class TestArrayEvaluation:
+    def test_result_keeps_the_shape_of_x(self):
+        mesh = UniformMesh(-1.3, 2.9, 11)
+        coeffs = np.random.default_rng(6).uniform(-1.0, 1.0, mesh.n_cells + 3)
+        grid = np.linspace(mesh.a, mesh.b, 12).reshape(3, 4)
+        for order in (0, 1, 2):
+            flat = evaluate_solution(coeffs, grid.ravel(), mesh, order)
+            assert flat.shape == (12,)
+            table = evaluate_solution(coeffs, grid, mesh, order)
+            assert table.shape == (3, 4)
+            assert table.tobytes() == flat.tobytes()
+            point = evaluate_solution(coeffs, grid[1, 2], mesh, order)
+            assert isinstance(point, np.floating)
+            assert np.shape(evaluate_solution(coeffs, np.array(grid[1, 2]), mesh, order)) == ()
+            assert point == pytest.approx(table[1, 2], rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("a, b, n", [(0.0, math.pi, 9), (-1.3, 2.9, 1000), (0.0, 1.0, 10000)])
+    def test_knots_match_knot_values(self, a, b, n):
+        # on a knot the offset into its cell is exactly 0
+        mesh = UniformMesh(a, b, n)
+        w = basis_weights(mesh)
+        coeffs = np.random.default_rng(7).uniform(-1.0, 1.0, n + 3)
+        for order in (0, 1, 2):
+            table = knot_values(coeffs, w, order)
+            got = evaluate_solution(coeffs, mesh.knots(), mesh, order)
+            assert np.max(np.abs(got - table)) <= 1e-14 * np.max(np.abs(table))
+
+    @pytest.mark.parametrize(
+        "x, named",
+        [
+            (float("nan"), "nan"),
+            (-0.25, "-0.25"),
+            ([0.2, float("nan"), 3.0], "nan"),
+            ([[0.2, 0.4], [1.5, float("nan")]], "1.5"),
+        ],
+    )
+    def test_nan_and_outside_points_are_named(self, x, named):
+        mesh = UniformMesh(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match=rf"^point {named} lies outside the domain \[0.0, 1.0\]$"):
+            evaluate_solution(np.ones(8), x, mesh)
+
+    def test_bad_derivative_order(self):
+        mesh = UniformMesh(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="derivative_order"):
+            evaluate_solution(np.ones(8), [0.1, 0.2], mesh, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=1000),
+    h=st.floats(min_value=0.01, max_value=1.8),
+    a=st.floats(min_value=-4.0, max_value=4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_scalar_oracle_property(n, h, a, seed):
+    # Both paths place the knots to within eps * |x|, so they may differ by
+    # about eps * |x| / h of the spline's scale: below 1e-12 while |x| / h
+    # stays near n <= 1000.
+    mesh = UniformMesh(a, a + n * h, n)
+    try:
+        w = basis_weights(mesh)
+    except DegenerateMeshError:
+        return
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.0, 1.0, n + 3)
+    # knots, where the oracle takes the left branch, and both ends
+    x = np.concatenate(
+        ([mesh.a, mesh.b], rng.choice(mesh.knots(), 4), rng.uniform(mesh.a, mesh.b, 6))
+    )
+    for order in (0, 1, 2):
+        scale = np.max(np.abs(knot_values(coeffs, w, order)))
+        got = evaluate_solution(coeffs, x, mesh, order)
+        want = [oracle.evaluate_solution(coeffs, float(p), mesh, order) for p in x]
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale

@@ -588,15 +588,15 @@ class TestExitCodes:
     def test_runaway_plot_grid_is_rejected_before_building_it(self, monkeypatch):
         # 10**12 levels would take terabytes; the count check must come first
         monkeypatch.setattr(cli, "MAX_PLOT_LEVELS", 1000)
-        config = cli.RunConfig(
-            problem_id=1, config_path=None, n_cells=6, dt=1e-12, theta=0.5, t_final=1.0,
-            times=None, fmt="csv", output=None, forcing_level="j", plot_data="grid.csv",
+        args = cli._build_parser().parse_args(
+            ["solve", "--problem", "1", "--n", "6", "--dt", "1e-12", "--t-final", "1",
+             "--emit-plot-data", "grid.csv"]
         )
         problem = telespline.builtin_problem(1)
         tracemalloc.start()
         try:
             with pytest.raises(cli.ConfigError, match="time levels, more than 1000$"):
-                cli._march(problem, config)
+                cli._march(problem, args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -678,9 +678,9 @@ class TestFailureExitCodes:
 
 def _reference_run(argv):
     """The march the CLI makes for ``argv``, for the reference writer to format."""
-    config = cli._run_config_from_args(cli._build_parser().parse_args(argv))
-    problem = cli._load_problem(config)
-    return (problem, *cli._march(problem, config))
+    args = cli._build_parser().parse_args(argv)
+    problem = cli._load_problem(args)
+    return (problem, *cli._march(problem, args))
 
 
 def _without_last_column(text, sep):

@@ -57,6 +57,19 @@ class TestSchemeParams:
         with pytest.raises(ValueError, match=f"t_final / dt = {t_final} / {dt} is too large"):
             SchemeParams(theta=0.5, dt=dt, t_final=t_final)
 
+    @pytest.mark.parametrize("dt, tol", [(1.0, 1e-9), (1e-3, 1e-9), (1e-4, 1e-10), (1e-10, 1e-16)])
+    def test_alignment_tolerance_follows_small_steps(self, dt, tol):
+        assert SchemeParams(theta=0.5, dt=dt, t_final=1.0).align_tol == tol
+
+    def test_tiny_step_grid_ends_at_t_final(self):
+        # an absolute 1e-9 slack is ten steps of 1e-10
+        params = SchemeParams(theta=0.5, dt=1e-10, t_final=1e-5)
+        assert params.last_step == 100000
+        assert params.last_time == 1e-5
+        assert output_steps([0.0, 1e-5], params) == [0, 100000]
+        with pytest.raises(ValueError, match=r"output time 1.0001e-05 outside \[0, 1e-05\]"):
+            output_steps([1.0001e-5], params)
+
 
 class TestInitialFit:
     def test_zero_profile_gives_zero_coefficients(self):
