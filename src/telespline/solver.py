@@ -323,7 +323,7 @@ def output_steps(times: Sequence[float], params: SchemeParams) -> list[int]:
             raise ValueError(
                 f"output time {t} is not a multiple of the step {params.dt}"
             )
-        if not 0 <= j <= last:
+        if j > last:
             raise ValueError(f"output time {t} outside [0, {params.t_final}]")
         steps.append(j)
     if any(b <= a for a, b in zip(steps, steps[1:])):

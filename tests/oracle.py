@@ -8,10 +8,13 @@ doubling level in full on each call, which the factor's prebuilt plan must
 match bit for bit, the scalar spline evaluator that picks each basis
 function's branch on absolute knots, which the cell kernel of
 :mod:`telespline.basis` must match to rounding, and the per-cell output
-writer that the CLI's frame templates must match byte for byte.
+writer that the CLI's frame templates must match byte for byte, and the
+stability sweep that evaluates every (theta, phi) pair, which the band-aware
+sweep of :mod:`telespline.stability` must match bit for bit.
 """
 
 import math
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -33,6 +36,14 @@ from telespline.linalg import (
 )
 from telespline.metrics import error_norms
 from telespline.problem import sample
+from telespline.stability import (
+    _BLOCK_POINTS,
+    _STABILITY_SLACK,
+    StabilityReport,
+    _max_amplification_grid,
+    fourier_coefficients,
+    routh_hurwitz_conditions,
+)
 
 
 def dense(system: CornerTridiagonalSystem) -> np.ndarray:
@@ -303,3 +314,37 @@ def stability_text(thetas, reports, sep: str) -> str:
         rows.append([format_cell(v) for v in numbers] + [verdict])
     header = ["theta", "max_amplification", "worst_phi", "rh1", "rh2", "rh3", "verdict"]
     return write_rows(header, rows, sep)
+
+
+def full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples=721) -> list[StabilityReport]:
+    """:func:`telespline.stability.stability_sweep` evaluating every phi of every theta.
+
+    The grid kernel runs on blocks of consecutive theta rows by all
+    ``phi_samples`` columns; each row reports its first maximum.
+    """
+    if phi_samples < 2:
+        raise ValueError(f"phi_samples must be at least 2, got {phi_samples}")
+    column = np.asarray(thetas, dtype=float).reshape(-1, 1)
+    fc = fourier_coefficients(alpha, beta, column, dt, basis_weights(mesh))
+    phis = np.linspace(0.0, math.pi, phi_samples)
+    cos = np.cos(phis)
+
+    rows = max(1, _BLOCK_POINTS // phi_samples)
+    worst = np.empty(len(column), dtype=np.intp)
+    max_amp = np.empty(len(column))
+    for lo in range(0, len(column), rows):
+        block = slice(lo, lo + rows)
+        amp = _max_amplification_grid(
+            replace(fc, w1=fc.w1[block], w2=fc.w2[block], w3=fc.w3[block], w4=fc.w4[block]),
+            cos,
+        )
+        worst[block] = amp.argmax(axis=1)
+        max_amp[block] = amp[np.arange(len(amp)), worst[block]]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rh1, rh2, rh3 = (r[:, 0].tolist() for r in routh_hurwitz_conditions(fc, math.pi))
+    stable = (max_amp <= 1.0 + _STABILITY_SLACK).tolist()
+    return [
+        StabilityReport(max_amplification=m, worst_phi=phi, rh_conditions=rh, stable=s)
+        for m, phi, rh, s in zip(max_amp.tolist(), phis[worst].tolist(), zip(rh1, rh2, rh3), stable)
+    ]

@@ -365,10 +365,19 @@ class TestRunContract:
             run(self.p, self.mesh, self.params, [2.0])
 
     def test_time_rounding_to_a_negative_step_rejected(self):
-        # within 1e-9 of 0, but on the step before it when dt is tiny
+        # one step before 0: the range check t >= -align_tol rejects it, since
+        # align_tol is 1e-15 at this dt
         params = SchemeParams(theta=0.5, dt=1e-9, t_final=1e-8)
         with pytest.raises(ValueError, match="outside"):
             run(self.p, self.mesh, params, [-1e-9])
+
+    def test_time_rounding_past_the_last_step_rejected(self):
+        # inside [0, t_final + align_tol] and within align_tol of step 3, but
+        # the last level is step 2: only the step-range check catches it
+        params = SchemeParams(theta=0.5, dt=0.1, t_final=0.3 - 1.2e-9)
+        assert params.last_step == 2
+        with pytest.raises(ValueError, match="outside"):
+            output_steps([0.3 - 0.4e-9], params)
 
     def test_off_grid_final_time_is_misaligned_not_outside(self):
         # 0.37 rounds to step 4, past the last level 3, yet lies inside [0, T]

@@ -1,23 +1,28 @@
 """Fourier-mode amplification: coefficients, roots, scans."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from telespline import stability
 from telespline.basis import UniformMesh, basis_weights
 from telespline.stability import (
     _BLOCK_POINTS,
     FourierCoefficients,
     _max_amplification_grid,
+    _proven_bands,
     amplification_roots,
     fourier_coefficients,
     routh_hurwitz_conditions,
     stability_scan,
     stability_sweep,
 )
+
+from oracle import full_grid_sweep
 
 MESH = UniformMesh(0.0, math.pi, 20)
 WEIGHTS = basis_weights(MESH)
@@ -317,3 +322,132 @@ class TestSweep:
             stability_sweep(math.nan, 2.0, [0.5], 0.1, MESH)
         with pytest.raises(ValueError, match="phi_samples"):
             stability_sweep(1.0, 2.0, [0.5], 0.1, MESH, phi_samples=1)
+
+
+# (alpha, beta) that the benchmark's stability workload draws from seeds 301
+# (alpha > beta: real roots at phi = 0) and 7 (alpha < beta)
+SEED_301 = (3.2980116134776933, 1.733373462070224)
+SEED_7 = (1.0279721087357567, 2.1273361825996346)
+
+
+def assert_reports_equal(reports, expected):
+    """Bit for bit, with NaN equal to NaN."""
+    assert len(reports) == len(expected)
+    for got, want in zip(reports, expected):
+        got_floats = (got.max_amplification, got.worst_phi, *got.rh_conditions)
+        want_floats = (want.max_amplification, want.worst_phi, *want.rh_conditions)
+        assert np.array(got_floats).tobytes() == np.array(want_floats).tobytes(), (got, want)
+        assert got.stable == want.stable
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """(theta rows, phi columns) of every call of the grid kernel."""
+    calls = []
+
+    def counted(fc, cos):
+        calls.append((np.size(fc.w1), np.size(cos)))
+        return _max_amplification_grid(fc, cos)
+
+    monkeypatch.setattr(stability, "_max_amplification_grid", counted)
+    return calls
+
+
+def magnitude():
+    return st.one_of(
+        st.just(0.0), st.floats(0.0, 5.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    )
+
+
+class TestBandedSweep:
+    @given(
+        alpha=magnitude(),
+        beta=magnitude(),
+        thetas=st.lists(st.floats(0.0, 1.0), max_size=40).map(lambda t: [0.0, 0.5, 1.0] + t),
+        dt=st.one_of(st.just(0.0), st.floats(-11.0, 1.5).map(lambda e: 10.0**e)),
+        n=st.integers(3, 3000),
+        phi_samples=st.sampled_from([2, 3, 4, 5, 181, 721]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_full_grid_oracle(self, alpha, beta, thetas, dt, n, phi_samples):
+        mesh = UniformMesh(0.0, math.pi, n)
+        try:
+            expected = full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                stability_sweep(alpha, beta, thetas, dt, mesh, phi_samples)
+            return
+        assert_reports_equal(stability_sweep(alpha, beta, thetas, dt, mesh, phi_samples), expected)
+
+    @pytest.mark.parametrize("alpha, beta", [SEED_301, SEED_7])
+    def test_benchmark_sweeps_equal_the_full_grid(self, alpha, beta):
+        mesh = UniformMesh(0.0, math.pi, 1000)
+        thetas = np.linspace(0.0, 1.0, 5001)
+        assert_reports_equal(
+            stability_sweep(alpha, beta, thetas, 1e-3, mesh),
+            full_grid_sweep(alpha, beta, thetas, 1e-3, mesh),
+        )
+
+    def test_concave_discriminant_takes_the_full_grid(self):
+        # at beta * dt = 4 and theta = 0.5, q2 < 0 and the discriminant's real
+        # band covers the phi = pi end; theta = 0 gives q2 > 0 with real roots
+        # on every sample
+        mesh = UniformMesh(0.0, math.pi, 100)
+        thetas = [0.0, 0.5]
+        fc = fourier_coefficients(1.0, 400.0, np.reshape(thetas, (-1, 1)), 0.01, basis_weights(mesh))
+        q2 = 4.0 * fc.w3 * fc.w3 - 16.0 * fc.w1 * fc.a1
+        assert q2[1, 0] < 0.0 < q2[0, 0]
+        assert _proven_bands(fc, np.cos(np.linspace(0.0, math.pi, 721)))[0].tolist() == [721, 721]
+        assert_reports_equal(
+            stability_sweep(1.0, 400.0, thetas, 0.01, mesh),
+            full_grid_sweep(1.0, 400.0, thetas, 0.01, mesh),
+        )
+
+    def test_rounding_level_discriminant_takes_the_full_grid(self):
+        # at this dt the discriminant is within a few ulps of 0 on the skipped
+        # span: kernel entries there can take the real-root branch, whose
+        # larger root exceeds sqrt(C/A) by about sqrt(ulp), so only check 1
+        # (a clearly negative discriminant) keeps these rows on the full grid
+        mesh = UniformMesh(0.0, math.pi, 2641)
+        thetas = np.linspace(0.0, 1.0, 21)
+        assert_reports_equal(
+            stability_sweep(0.0, 0.0, thetas, 1.07e-11, mesh),
+            full_grid_sweep(0.0, 0.0, thetas, 1.07e-11, mesh),
+        )
+
+    def test_ill_conditioned_lead_is_unproven(self):
+        # both rows: B = 2 + 2c and q2 > 0, with real roots at c = 0 and just
+        # below -1, so phi > pi/2 is a complex run; the first row's
+        # A = 1 + 0.998 c comes within 0.002 of 0 at c = -1, below 1/100 of
+        # its term sum, so its sqrt(C/A) is not known to the edge gap
+        fc = FourierCoefficients(
+            w1=np.array([[0.499], [0.45]]), w2=np.array([[1.0], [1.0]]),
+            w3=np.array([[1.0], [1.0]]), w4=np.array([[2.0], [2.0]]),
+            a1=0.45, a2=1.0, a5=0.0, a6=0.0,
+        )
+        left, right = _proven_bands(fc, np.cos(np.linspace(0.0, math.pi, 721)))
+        assert (left[0], right[0]) == (721, 0)
+        assert left[1] + right[1] < 721
+
+    def test_failed_gap_check_falls_back_to_the_full_grid(self, grid_calls):
+        # with alpha < beta there is no real root, and near theta = 0 C/A is
+        # flat in phi (exactly constant at theta = 0), so the maximum cannot
+        # beat the edges of the skipped span: the rounding of the skipped
+        # entries decides the first maximum
+        mesh = UniformMesh(0.0, math.pi, 1000)
+        thetas = [0.0, 1e-12, 1e-9, 0.5]
+        reports = stability_sweep(*SEED_7, thetas, 1e-3, mesh)
+        assert grid_calls[0][0] == 4 and grid_calls[0][1] < 721
+        assert grid_calls[1:] == [(3, 721)]
+        assert_reports_equal(reports, full_grid_sweep(*SEED_7, thetas, 1e-3, mesh))
+        assert reports[0].worst_phi > 0.0
+
+    def test_benchmark_sweep_skips_most_of_the_grid(self, grid_calls):
+        mesh = UniformMesh(0.0, math.pi, 1000)
+        stability_sweep(*SEED_301, np.linspace(0.0, 1.0, 5001), 1e-3, mesh)
+        assert sum(rows * cols for rows, cols in grid_calls) <= 0.2 * 5001 * 721
+
+    def test_ties_take_the_full_grid(self, grid_calls):
+        # dt = 0: q2 = 0, so no row is proven and every phi ties
+        stability_sweep(3.0, 2.0, [0.0, 0.5, 1.0], 0.0, MESH, phi_samples=181)
+        assert grid_calls == [(3, 181)]
