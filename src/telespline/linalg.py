@@ -296,17 +296,16 @@ def _doubling_coefficients(
     coefficient of at least 2**-60; a level too deep to have a constant
     middle is all head, with a zero rho whose products the head overwrites.
 
-    The levels are formed on a copy whose constant run is cut to 2**8
+    The levels are first formed on a copy whose constant run is cut to 2**8
     entries, which gives the same bits for every level whose shift fits in
     the kept run.  A deeper level would mix head and tail, so that test
-    comes before the negligible test, and the levels are formed again with
-    twice the run kept.
+    comes before the negligible test; when it fails, or the cut copy runs
+    out of levels before one is negligible, the levels are formed again on
+    the full array.
     """
     start, stop = _constant_run(multipliers)
     length = stop - start
-    keep = 2**8
-    while True:
-        kept = min(keep, length)
+    for kept in (min(2**8, length), length):
         cut = multipliers
         if kept < length:
             cut = np.concatenate((multipliers[: start + kept], multipliers[stop:]))
@@ -324,7 +323,6 @@ def _doubling_coefficients(
                 levels.append((coefficients, 0.0, coefficients[:0]))
         if kept == length:
             return levels
-        keep *= 2
 
 
 def solve(system: CornerTridiagonalSystem) -> np.ndarray:

@@ -140,8 +140,6 @@ class SolutionHistory:
     one-off factorisations of the first-step and later-step matrices.
     """
 
-    problem: TelegraphProblem
-    mesh: UniformMesh
     frames: list[CoefficientFrame] = field(default_factory=list)
     stepping_seconds: list[float] = field(default_factory=list)
 
@@ -394,4 +392,4 @@ def run(
             frames.append(advanced)
             seconds.append(elapsed)
 
-    return SolutionHistory(problem=problem, mesh=mesh, frames=frames, stepping_seconds=seconds)
+    return SolutionHistory(frames=frames, stepping_seconds=seconds)

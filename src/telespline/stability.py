@@ -50,7 +50,6 @@ for bit; :func:`stability_scan` is the sweep of one theta.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -82,7 +81,7 @@ _EDGE_GAP = 1e-12
 
 @dataclass(frozen=True)
 class FourierCoefficients:
-    """Per-mode recurrence weights, plus the basis weights they combine.
+    """Per-mode recurrence weights, plus the basis weights a1 and a2 of C.
 
     The w-coefficients are floats, or arrays shaped like the theta array
     they were computed for.
@@ -94,8 +93,6 @@ class FourierCoefficients:
     w4: float
     a1: float
     a2: float
-    a5: float
-    a6: float
 
 
 @dataclass(frozen=True)
@@ -138,9 +135,7 @@ def fourier_coefficients(
             f"dt = {dt} gives non-finite Fourier coefficients w1..w4 "
             f"(alpha = {alpha}, beta = {beta}); use a smaller dt"
         )
-    return FourierCoefficients(
-        w1=w1, w2=w2, w3=w3, w4=w4, a1=weights.a1, a2=weights.a2, a5=weights.a5, a6=weights.a6
-    )
+    return FourierCoefficients(w1=w1, w2=w2, w3=w3, w4=w4, a1=weights.a1, a2=weights.a2)
 
 
 def _quadratic_coefficients(fc: FourierCoefficients, cos: float | np.ndarray):
@@ -152,31 +147,6 @@ def _quadratic_coefficients(fc: FourierCoefficients, cos: float | np.ndarray):
     )
 
 
-def amplification_roots(fc: FourierCoefficients, phi: float) -> tuple[complex, complex]:
-    """Both roots of A delta^2 - B delta + C = 0 at mode angle phi.
-
-    When the quadratic degenerates (A ~ 0) the single linear root is paired
-    with an infinite-magnitude marker.
-    """
-    a, b, c = _quadratic_coefficients(fc, math.cos(phi))
-    if abs(a) < _DEGENERATE_LEAD:
-        marker = complex(math.inf, 0.0)
-        if abs(b) < _DEGENERATE_LEAD:
-            return marker, marker
-        return complex(c / b, 0.0), marker
-    disc = b * b - 4.0 * a * c
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        # cancellation-free split: bigger root via b + sign(b) sqrt, mate via Vieta
-        q = (b + math.copysign(sq, b)) / 2.0
-        if q == 0.0:
-            return complex(0.0), complex(0.0)
-        return complex(q / a, 0.0), complex(c / q, 0.0)
-    sq = cmath.sqrt(complex(disc, 0.0))
-    r1 = (b + sq) / (2.0 * a)
-    return r1, r1.conjugate()
-
-
 def routh_hurwitz_conditions(fc: FourierCoefficients, phi: float) -> tuple[float, float, float]:
     """The triple (A+B+C, A-C, A-B+C) at mode angle phi (arrays for array w's)."""
     a, b, c = _quadratic_coefficients(fc, math.cos(phi))
@@ -186,9 +156,10 @@ def routh_hurwitz_conditions(fc: FourierCoefficients, phi: float) -> tuple[float
 def _max_amplification_grid(fc: FourierCoefficients, cos: np.ndarray) -> np.ndarray:
     """|delta|_max on the grid of fc's theta column x the cos(phi) row.
 
-    Mirrors :func:`amplification_roots`: a degenerate lead gives inf, a
-    complex pair gives sqrt(C/A), a real pair the larger root modulus, and a
-    NaN discriminant gives NaN.  Every entry is written.
+    Mirrors the scalar root solver ``amplification_roots`` of the tests'
+    oracle: a degenerate lead gives inf, a complex pair gives sqrt(C/A), a
+    real pair the larger root modulus, and a NaN discriminant gives NaN.
+    Every entry is written.
     """
     with np.errstate(all="ignore"):
         a, b, c = _quadratic_coefficients(fc, cos)
@@ -292,7 +263,11 @@ def stability_sweep(
     """Scan phi over [0, pi] for each theta; one report per theta, in order.
 
     ``max_amplification`` is the first maximum over the phi samples; a NaN
-    amplification counts as the maximum and reads unstable.
+    amplification counts as the maximum and reads unstable.  At theta = 0
+    with alpha < beta every sample is a complex pair with |delta|^2 =
+    1 / (1 + 2 alpha k) exactly, so the row ties in exact arithmetic:
+    ``max_amplification`` is exact to rounding, but rounding decides which
+    phi ``worst_phi`` names (likewise for theta up to about 1e-9).
     """
     if phi_samples < 2:
         raise ValueError(f"phi_samples must be at least 2, got {phi_samples}")

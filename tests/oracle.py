@@ -8,11 +8,14 @@ doubling level in full on each call, which the factor's prebuilt plan must
 match bit for bit, the scalar spline evaluator that picks each basis
 function's branch on absolute knots, which the cell kernel of
 :mod:`telespline.basis` must match to rounding, and the per-cell output
-writer that the CLI's frame templates must match byte for byte, and the
-stability sweep that evaluates every (theta, phi) pair, which the band-aware
-sweep of :mod:`telespline.stability` must match bit for bit.
+writer that the CLI's frame templates must match byte for byte, the
+scalar root solver of the amplification quadratic at one mode angle, which
+the grid kernel of :mod:`telespline.stability` mirrors, and the stability
+sweep that evaluates every (theta, phi) pair, which the band-aware sweep of
+:mod:`telespline.stability` must match bit for bit.
 """
 
+import cmath
 import math
 from dataclasses import replace
 from itertools import islice
@@ -38,9 +41,12 @@ from telespline.metrics import error_norms
 from telespline.problem import sample
 from telespline.stability import (
     _BLOCK_POINTS,
+    _DEGENERATE_LEAD,
     _STABILITY_SLACK,
+    FourierCoefficients,
     StabilityReport,
     _max_amplification_grid,
+    _quadratic_coefficients,
     fourier_coefficients,
     routh_hurwitz_conditions,
 )
@@ -348,3 +354,28 @@ def full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples=721) -> list[Stab
         StabilityReport(max_amplification=m, worst_phi=phi, rh_conditions=rh, stable=s)
         for m, phi, rh, s in zip(max_amp.tolist(), phis[worst].tolist(), zip(rh1, rh2, rh3), stable)
     ]
+
+
+def amplification_roots(fc: FourierCoefficients, phi: float) -> tuple[complex, complex]:
+    """Both roots of A delta^2 - B delta + C = 0 at mode angle phi.
+
+    When the quadratic degenerates (A ~ 0) the single linear root is paired
+    with an infinite-magnitude marker.
+    """
+    a, b, c = _quadratic_coefficients(fc, math.cos(phi))
+    if abs(a) < _DEGENERATE_LEAD:
+        marker = complex(math.inf, 0.0)
+        if abs(b) < _DEGENERATE_LEAD:
+            return marker, marker
+        return complex(c / b, 0.0), marker
+    disc = b * b - 4.0 * a * c
+    if disc >= 0.0:
+        sq = math.sqrt(disc)
+        # cancellation-free split: bigger root via b + sign(b) sqrt, mate via Vieta
+        q = (b + math.copysign(sq, b)) / 2.0
+        if q == 0.0:
+            return complex(0.0), complex(0.0)
+        return complex(q / a, 0.0), complex(c / q, 0.0)
+    sq = cmath.sqrt(complex(disc, 0.0))
+    r1 = (b + sq) / (2.0 * a)
+    return r1, r1.conjugate()

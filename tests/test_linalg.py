@@ -456,7 +456,8 @@ def assert_plan_matches_reference(system, seed=0):
     dt=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
     first_step=st.booleans(),
 )
-# levels (10, 10): shifts up to 2**9 fit only once the run is kept to 2**10
+# levels (10, 10): shifts up to 2**9 outgrow the run cut to 2**8, so the
+# plan is formed again on the full array
 @example(problem_id=2, n_cells=3001, theta=1.0, dt=0.01, first_step=False)
 def test_doubling_plan_matches_reference_on_step_matrices(
     problem_id, n_cells, theta, dt, first_step
@@ -492,7 +493,7 @@ def test_doubling_plan_matches_reference_around_a_constant_run(head, run, tail, 
     # small gap keeps the multipliers near 1, so many levels count, and the
     # pivots reach their fixed point within the run only after some hundred
     # rows; a constant stretch longer than 2**8 is then cut, and levels with
-    # larger shifts need the plan formed again on a longer cut
+    # larger shifts need the plan formed again on the full array
     rng = np.random.default_rng(seed)
     size = max(head + run + tail, 2)
     sub = rng.uniform(-1.0, 1.0, size - 1)
@@ -501,3 +502,26 @@ def test_doubling_plan_matches_reference_around_a_constant_run(head, run, tail, 
     sub[head : head + run] = sup[head : head + run] = -1.0
     diag[head : head + run] = 2.0 + gap
     assert_plan_matches_reference(block_system(sub, diag, sup), seed)
+
+
+def test_stiff_plan_is_formed_in_at_most_two_passes(monkeypatch):
+    # problem 1 at theta = 1, dt = 0.1: the pivots reach their fixed point
+    # only after about 3200 rows and 14 levels count, so shifts past 2**8
+    # outgrow the cut copy and each direction needs the full array once
+    passes = []
+    doubling_coefficients = linalg._doubling_coefficients
+    doubling_levels = linalg._doubling_levels
+
+    def counted_coefficients(multipliers):
+        passes.append(0)
+        return doubling_coefficients(multipliers)
+
+    def counted_levels(multipliers):
+        passes[-1] += 1
+        return doubling_levels(multipliers)
+
+    monkeypatch.setattr(linalg, "_doubling_coefficients", counted_coefficients)
+    monkeypatch.setattr(linalg, "_doubling_levels", counted_levels)
+    factor = CornerTridiagonalFactor(step_matrix(1, 10000, 1.0, 0.1, False))
+    assert factor.levels == (14, 14)
+    assert passes == [2, 2]

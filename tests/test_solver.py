@@ -236,6 +236,25 @@ class TestStepping:
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+
+class TestTemporalOrder:
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("level", ["j", "theta"])
+    @pytest.mark.parametrize("problem_id", [1, 4, 5])
+    def test_first_order_in_dt(self, problem_id, level, theta):
+        # self-convergence on a fixed mesh, so the spatial error cancels: the
+        # one-sided damping term 2 alpha (U^{j+1} - U^j) / k makes the scheme
+        # first order in time, and halving dt halves the change in the knots
+        p = builtin_problem(problem_id)
+        mesh = UniformMesh(p.domain[0], p.domain[1], 16)
+        w = basis_weights(mesh)
+        finals = []
+        for dt in (0.01, 0.005, 0.0025):
+            params = SchemeParams(theta=theta, dt=dt, t_final=0.4, forcing_level=level)
+            finals.append(knot_values(run(p, mesh, params, [0.4]).frames[0].values, w, 0))
+        coarse, fine = (np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:]))
+        assert 0.9 <= math.log2(coarse / fine) <= 1.1
+
 def dense_oracle(problem, mesh, params, current, previous, t_j, first_step):
     """Assemble the stepping system entry by entry, straight from the scheme."""
     w = basis_weights(mesh)

@@ -15,14 +15,13 @@ from telespline.stability import (
     FourierCoefficients,
     _max_amplification_grid,
     _proven_bands,
-    amplification_roots,
     fourier_coefficients,
     routh_hurwitz_conditions,
     stability_scan,
     stability_sweep,
 )
 
-from oracle import full_grid_sweep
+from oracle import amplification_roots, full_grid_sweep
 
 MESH = UniformMesh(0.0, math.pi, 20)
 WEIGHTS = basis_weights(MESH)
@@ -65,7 +64,7 @@ class TestFourierCoefficients:
 
 def raw_coefficients(w1, w2, w3, w4, a1=0.0, a2=0.0):
     """Coefficients chosen directly, bypassing the scheme formulas."""
-    return FourierCoefficients(w1=w1, w2=w2, w3=w3, w4=w4, a1=a1, a2=a2, a5=0.0, a6=0.0)
+    return FourierCoefficients(w1=w1, w2=w2, w3=w3, w4=w4, a1=a1, a2=a2)
 
 
 class TestAmplificationRoots:
@@ -283,7 +282,7 @@ class TestSweep:
             fc = FourierCoefficients(
                 w1=w1[row : row + 1], w2=w2[row : row + 1],
                 w3=w3[row : row + 1], w4=w4[row : row + 1],
-                a1=float(a1[row, 0]), a2=float(a2[row, 0]), a5=0.0, a6=0.0,
+                a1=float(a1[row, 0]), a2=float(a2[row, 0]),
             )
             grid = _max_amplification_grid(fc, cos)[0]
             expected = [
@@ -423,7 +422,7 @@ class TestBandedSweep:
         fc = FourierCoefficients(
             w1=np.array([[0.499], [0.45]]), w2=np.array([[1.0], [1.0]]),
             w3=np.array([[1.0], [1.0]]), w4=np.array([[2.0], [2.0]]),
-            a1=0.45, a2=1.0, a5=0.0, a6=0.0,
+            a1=0.45, a2=1.0,
         )
         left, right = _proven_bands(fc, np.cos(np.linspace(0.0, math.pi, 721)))
         assert (left[0], right[0]) == (721, 0)
@@ -441,6 +440,17 @@ class TestBandedSweep:
         assert grid_calls[1:] == [(3, 721)]
         assert_reports_equal(reports, full_grid_sweep(*SEED_7, thetas, 1e-3, mesh))
         assert reports[0].worst_phi > 0.0
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (1.0, 2.9), (2.0, 2.5)])
+    def test_theta_zero_tie_has_the_exact_amplification(self, alpha, beta):
+        # at theta = 0, w1 = lambda a1 and w2 = lambda a2 with lambda = 1 + 2 alpha k,
+        # so with alpha < beta every sample is a complex pair with |delta|^2 = 1/lambda
+        # exactly: the amplification is pinned, but rounding names worst_phi
+        mesh = UniformMesh(0.0, math.pi, 1000)
+        dt = 1e-3
+        for report in stability_sweep(alpha, beta, [0.0, 1e-10], dt, mesh):
+            assert abs(report.max_amplification * math.sqrt(1.0 + 2.0 * alpha * dt) - 1.0) <= 1e-15
+            assert report.stable
 
     def test_benchmark_sweep_skips_most_of_the_grid(self, grid_calls):
         mesh = UniformMesh(0.0, math.pi, 1000)
