@@ -6,57 +6,59 @@ benchmarking utilities.
 The names below are the user-facing API; everything else (knot weights,
 single-step assembly, the linear solvers, stability internals) stays
 importable from its submodule.
+
+``import telespline`` loads no submodule: each public name is resolved on
+first use (PEP 562), which imports the submodule that defines it.  So a
+command-line run loads only the modules its subcommand calls.
 """
 
-from .basis import DegenerateMeshError, UniformMesh, evaluate_solution
-from .expr import (
-    EvaluationError,
-    Expression,
-    ExpressionError,
-    ExpressionSyntaxError,
-    UnknownFunctionError,
-    parse,
-)
-from .linalg import SingularSystemError
-from .metrics import ErrorReport, MissingExactSolutionError, error_norms
-from .problem import (
-    BoundaryKind,
-    BoundarySpec,
-    Diagnostic,
-    TelegraphProblem,
-    builtin_problem,
-    validate,
-)
-from .solver import CoefficientFrame, SchemeParams, SolutionHistory, run
-from .stability import StabilityReport, stability_scan, stability_sweep
+# public name -> the submodule that defines it
+_SUBMODULE = {
+    "DegenerateMeshError": "basis",
+    "UniformMesh": "basis",
+    "evaluate_solution": "basis",
+    "EvaluationError": "expr",
+    "Expression": "expr",
+    "ExpressionError": "expr",
+    "ExpressionSyntaxError": "expr",
+    "UnknownFunctionError": "expr",
+    "parse": "expr",
+    "SingularSystemError": "linalg",
+    "ErrorReport": "metrics",
+    "MissingExactSolutionError": "metrics",
+    "error_norms": "metrics",
+    "BoundaryKind": "problem",
+    "BoundarySpec": "problem",
+    "Diagnostic": "problem",
+    "TelegraphProblem": "problem",
+    "builtin_problem": "problem",
+    "validate": "problem",
+    "CoefficientFrame": "solver",
+    "SchemeParams": "solver",
+    "SolutionHistory": "solver",
+    "run": "solver",
+    "StabilityReport": "stability",
+    "stability_scan": "stability",
+    "stability_sweep": "stability",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryKind",
-    "BoundarySpec",
-    "CoefficientFrame",
-    "DegenerateMeshError",
-    "Diagnostic",
-    "ErrorReport",
-    "EvaluationError",
-    "Expression",
-    "ExpressionError",
-    "ExpressionSyntaxError",
-    "MissingExactSolutionError",
-    "SchemeParams",
-    "SingularSystemError",
-    "SolutionHistory",
-    "StabilityReport",
-    "TelegraphProblem",
-    "UniformMesh",
-    "UnknownFunctionError",
-    "builtin_problem",
-    "error_norms",
-    "evaluate_solution",
-    "parse",
-    "run",
-    "stability_scan",
-    "stability_sweep",
-    "validate",
-]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    """Import the submodule behind a public name on its first use."""
+    try:
+        submodule = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -39,17 +39,18 @@ import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .basis import UniformMesh, basis_weights, knot_values
-from .expr import ExpressionError, parse
-from .linalg import SingularSystemError
-from .metrics import error_norms
-from .problem import BoundaryKind, BoundarySpec, TelegraphProblem, builtin_problem, sample
-from .solver import SchemeParams, SolutionHistory, output_steps, run
-from .stability import stability_sweep
+
+# Every other sibling module is imported by the code that calls it, so a
+# subcommand loads only what it runs: stability never loads expr, linalg,
+# problem, solver or metrics, and solve --problem never loads expr.
+if TYPE_CHECKING:
+    from .problem import TelegraphProblem
+    from .solver import SolutionHistory
 
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
 
@@ -81,6 +82,8 @@ class ConfigError(ValueError):
 
 
 def _parse_constant(text: str, where: str) -> float:
+    from .expr import ExpressionError, parse
+
     try:
         expression = parse(text)
     except ExpressionError as exc:
@@ -146,6 +149,9 @@ def _parse_sweep(text: str) -> list[float]:
 
 def load_problem_config(path: str) -> TelegraphProblem:
     """Read a ``key = value`` problem description file."""
+    from .expr import ExpressionError, parse
+    from .problem import BoundaryKind, BoundarySpec, TelegraphProblem
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -225,6 +231,8 @@ def _load_problem(args: argparse.Namespace) -> TelegraphProblem:
     """The problem of ``--config``, or else of ``--problem``."""
     if args.config is not None:
         return load_problem_config(args.config)
+    from .problem import builtin_problem
+
     return builtin_problem(args.problem)
 
 
@@ -252,6 +260,8 @@ def _march(
     """Run the stepping loop; return the mesh, the history, the output times
     (``--times``, else t_final or the last step level before it), and the
     position in ``history.frames`` of each output time."""
+    from .solver import SchemeParams, output_steps, run
+
     mesh = UniformMesh(problem.domain[0], problem.domain[1], args.n)
     params = SchemeParams(args.theta, args.dt, args.t_final, args.forcing_level)
     times = _parse_times(args.times) if args.times else (params.last_time,)
@@ -281,6 +291,8 @@ def _write_plot_data(
 
 def cmd_solve(args: argparse.Namespace) -> None:
     """Write the solution at the requested times, knot by knot."""
+    from .problem import sample
+
     problem = _load_problem(args)
     mesh, history, times, positions = _march(problem, args)
     sep = _SEPARATORS[args.format]
@@ -300,6 +312,8 @@ def cmd_solve(args: argparse.Namespace) -> None:
 
 def cmd_bench(args: argparse.Namespace) -> None:
     """Write error norms and stepping time per requested output time."""
+    from .metrics import error_norms
+
     problem = _load_problem(args)
     if problem.exact is None:
         raise ConfigError(
@@ -320,17 +334,19 @@ def cmd_bench(args: argparse.Namespace) -> None:
 
 def cmd_stability(args: argparse.Namespace) -> None:
     """Scan amplification factors for one theta or a sweep of thetas."""
-    domain = _parse_domain(args.domain, "--domain")
+    from .stability import sweep_columns
+
+    # without --domain, [0, pi] needs no expression parser
+    domain = (0.0, math.pi) if args.domain is None else _parse_domain(args.domain, "--domain")
     mesh = UniformMesh(domain[0], domain[1], args.n)
     thetas = _parse_sweep(args.sweep) if args.sweep else [args.theta]
 
-    reports = stability_sweep(args.alpha, args.beta, thetas, args.dt, mesh, args.phi_samples)
+    columns = sweep_columns(args.alpha, args.beta, thetas, args.dt, mesh, args.phi_samples)
     sep = _SEPARATORS[args.format]
     line = sep.join(["%.17g"] * 6 + ["%s"]) + "\n"
     lines = (
-        line % (theta, r.max_amplification, r.worst_phi, *r.rh_conditions,
-                "stable" if r.stable else "unstable")
-        for theta, r in zip(thetas, reports)
+        line % (theta, peak, phi, rh1, rh2, rh3, "stable" if stable else "unstable")
+        for theta, peak, phi, rh1, rh2, rh3, stable in zip(thetas, *columns)
     )
     header = ["theta", "max_amplification", "worst_phi", "rh1", "rh2", "rh3", "verdict"]
     _emit(args.output, header, lines, sep)
@@ -386,9 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stability.add_argument("--theta", type=float, default=0.5)
     stability.add_argument("--dt", type=float, required=True)
     stability.add_argument("--n", type=int, required=True, help="number of mesh cells")
-    stability.add_argument(
-        "--domain", default="0, pi", help="mesh interval, two comma-separated constants"
-    )
+    stability.add_argument("--domain", help="mesh interval, two comma-separated constants")
     stability.add_argument("--phi-samples", type=int, default=721)
     stability.add_argument(
         "--sweep", metavar="theta=START:STOP:STEP", help="one row per theta value"
@@ -401,14 +415,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "stability":
+        command, singular = cmd_stability, ()  # only the stepping loop solves a system
+    else:
+        from .linalg import SingularSystemError as singular
+
+        command = cmd_solve if args.command == "solve" else cmd_bench
     try:
-        if args.command == "solve":
-            cmd_solve(args)
-        elif args.command == "bench":
-            cmd_bench(args)
-        else:
-            cmd_stability(args)
-    except SingularSystemError as exc:
+        command(args)
+    except singular as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # ConfigError and ExpressionError too

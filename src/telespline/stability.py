@@ -252,23 +252,17 @@ def _row_maxima(fc: FourierCoefficients, rows: np.ndarray, cos: np.ndarray):
     return amp, first, amp[np.arange(len(rows)), first]
 
 
-def stability_sweep(
+def sweep_columns(
     alpha: float,
     beta: float,
     thetas: Sequence[float],
     dt: float,
     mesh: UniformMesh,
     phi_samples: int = 721,
-) -> list[StabilityReport]:
-    """Scan phi over [0, pi] for each theta; one report per theta, in order.
-
-    ``max_amplification`` is the first maximum over the phi samples; a NaN
-    amplification counts as the maximum and reads unstable.  At theta = 0
-    with alpha < beta every sample is a complex pair with |delta|^2 =
-    1 / (1 + 2 alpha k) exactly, so the row ties in exact arithmetic:
-    ``max_amplification`` is exact to rounding, but rounding decides which
-    phi ``worst_phi`` names (likewise for theta up to about 1e-9).
-    """
+) -> tuple[list[float], list[float], list[float], list[float], list[float], list[bool]]:
+    """:func:`stability_sweep`'s results as columns, one entry per theta:
+    ``max_amplification``, ``worst_phi``, the three Routh-Hurwitz values
+    and ``stable``, each a list."""
     if phi_samples < 2:
         raise ValueError(f"phi_samples must be at least 2, got {phi_samples}")
     column = np.asarray(thetas, dtype=float).reshape(-1, 1)
@@ -307,9 +301,32 @@ def stability_sweep(
     with np.errstate(over="ignore", invalid="ignore"):
         rh1, rh2, rh3 = (r[:, 0].tolist() for r in routh_hurwitz_conditions(fc, math.pi))
     stable = (max_amp <= 1.0 + _STABILITY_SLACK).tolist()
+    return max_amp.tolist(), phis[worst].tolist(), rh1, rh2, rh3, stable
+
+
+def stability_sweep(
+    alpha: float,
+    beta: float,
+    thetas: Sequence[float],
+    dt: float,
+    mesh: UniformMesh,
+    phi_samples: int = 721,
+) -> list[StabilityReport]:
+    """Scan phi over [0, pi] for each theta; one report per theta, in order.
+
+    ``max_amplification`` is the first maximum over the phi samples; a NaN
+    amplification counts as the maximum and reads unstable.  At theta = 0
+    with alpha < beta every sample is a complex pair with |delta|^2 =
+    1 / (1 + 2 alpha k) exactly, so the row ties in exact arithmetic:
+    ``max_amplification`` is exact to rounding, but rounding decides which
+    phi ``worst_phi`` names (likewise for theta up to about 1e-9).
+    """
+    max_amp, worst_phi, rh1, rh2, rh3, stable = sweep_columns(
+        alpha, beta, thetas, dt, mesh, phi_samples
+    )
     return [
         StabilityReport(max_amplification=m, worst_phi=phi, rh_conditions=rh, stable=s)
-        for m, phi, rh, s in zip(max_amp.tolist(), phis[worst].tolist(), zip(rh1, rh2, rh3), stable)
+        for m, phi, rh, s in zip(max_amp, worst_phi, zip(rh1, rh2, rh3), stable)
     ]
 
 

@@ -15,6 +15,7 @@ import telespline
 from telespline import cli
 from telespline.cli import main
 from telespline.linalg import SingularSystemError
+from telespline.stability import stability_sweep
 
 
 def run_cli(args, capsys):
@@ -456,6 +457,29 @@ class TestStability:
         _, rows = split_rows(out)
         assert rows[0][1] == "inf" and rows[0][6] == "unstable"
 
+    @pytest.mark.parametrize("rows", [["--theta", "0.3"], ["--sweep", "theta=0:1:0.01"]])
+    def test_default_domain_is_zero_to_pi(self, capsys, rows):
+        flags = ["stability", "--alpha", "2", "--beta", "1", "--dt", "1e-3", "--n", "100"] + rows
+        code, out, err = run_cli(flags, capsys)
+        assert code == 0 and err == ""
+        assert run_cli(flags + ["--domain", "0, pi"], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            ("0", "domain needs two comma-separated endpoints, got '0'"),
+            ("0, foo(1)", "unknown function 'foo' at offset 1 (known: abs, cos, exp, sin, sqrt, tan)"),
+            ("0, x", "expected a constant, found variables ['x']"),
+        ],
+    )
+    def test_bad_domain_messages(self, capsys, domain, message):
+        code, out, err = run_cli(
+            ["stability", "--alpha", "1", "--beta", "1", "--dt", "0.1", "--n", "40",
+             "--domain", domain],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: --domain: {message}\n")
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -491,7 +515,7 @@ class TestStability:
         def never(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr("telespline.cli.stability_sweep", never)
+        monkeypatch.setattr("telespline.stability.sweep_columns", never)
         code, out, err = run_cli(
             ["stability", "--alpha", "1", "--beta", "1", "--dt", "0.1", "--n", "40",
              "--sweep", sweep],
@@ -629,7 +653,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise SingularSystemError(0, 0.0)
 
-        monkeypatch.setattr("telespline.cli.run", explode)
+        monkeypatch.setattr("telespline.solver.run", explode)
         code, _, err = run_cli(
             ["solve", "--problem", "1", "--n", "6", "--dt", "0.1", "--t-final", "0.2"],
             capsys,
@@ -749,7 +773,7 @@ class TestWriterMatchesReference:
         )
         assert code == 0
         thetas = cli._parse_sweep("theta=0:1:0.05")
-        reports = cli.stability_sweep(0.0, 0.0, thetas, 1.0, cli.UniformMesh(0.0, math.pi, 40), 721)
+        reports = stability_sweep(0.0, 0.0, thetas, 1.0, cli.UniformMesh(0.0, math.pi, 40), 721)
         assert {report.stable for report in reports} == {True, False}
         assert out == oracle.stability_text(thetas, reports, sep)
 
@@ -800,3 +824,40 @@ def test_cli_import_loads_no_scipy():
         timeout=60,
     )
     assert result.stdout.strip() == "[]"
+
+
+# runs ``python -m telespline ARGS`` and prints the telespline modules it loaded
+_MODULE_PROBE = """\
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("telespline."))))
+runpy.run_module("telespline", run_name="__main__", alter_sys=True)
+"""
+_SOLVE_MODULES = {"basis", "cli", "linalg", "problem", "solver"}
+_SHORT_RUN = ["--n", "10", "--dt", "0.01", "--t-final", "0.01"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["stability", "--alpha", "1", "--beta", "1", "--dt", "1e-3", "--n", "100", "--theta", "0.5"],
+         {"basis", "cli", "stability"}),
+        (["solve", "--problem", "1"] + _SHORT_RUN, _SOLVE_MODULES),
+        (["solve", "--config", "{config}"] + _SHORT_RUN, _SOLVE_MODULES | {"expr"}),
+        (["bench", "--problem", "1"] + _SHORT_RUN, _SOLVE_MODULES | {"metrics"}),
+    ],
+    ids=["stability", "solve-problem", "solve-config", "bench-problem"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, write_config, argv, modules):
+    config = write_config(1)
+    argv = [arg.format(config=config) for arg in argv] + ["--output", str(tmp_path / "out.csv")]
+    source = Path(telespline.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=source,
+        timeout=60,
+    )
+    assert result.stderr == ""
+    assert result.stdout.split() == sorted(f"telespline.{name}" for name in modules)
