@@ -341,7 +341,7 @@ def cmd_stability(args: argparse.Namespace) -> None:
     mesh = UniformMesh(domain[0], domain[1], args.n)
     thetas = _parse_sweep(args.sweep) if args.sweep else [args.theta]
 
-    columns = sweep_columns(args.alpha, args.beta, thetas, args.dt, mesh, args.phi_samples)
+    columns = sweep_columns(args.alpha, args.beta, thetas, args.dt, mesh)
     sep = _SEPARATORS[args.format]
     line = sep.join(["%.17g"] * 6 + ["%s"]) + "\n"
     lines = (
@@ -403,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stability.add_argument("--dt", type=float, required=True)
     stability.add_argument("--n", type=int, required=True, help="number of mesh cells")
     stability.add_argument("--domain", help="mesh interval, two comma-separated constants")
-    stability.add_argument("--phi-samples", type=int, default=721)
     stability.add_argument(
         "--sweep", metavar="theta=START:STOP:STEP", help="one row per theta value"
     )

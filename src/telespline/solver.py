@@ -337,13 +337,13 @@ def run(
 ) -> SolutionHistory:
     """March from t = 0 and capture the requested output times.
 
-    The output times follow :func:`output_steps`, and t_final must not pass
-    the problem's ``t_max``.
+    The output times follow :func:`output_steps`, and the last level
+    marched, ``params.last_time``, must not pass the problem's ``t_max``.
     """
-    if problem.t_max is not None and params.t_final > problem.t_max + 1e-12:
+    if problem.t_max is not None and params.last_time > problem.t_max + 1e-12:
         raise ValueError(
-            f"t_final = {params.t_final} exceeds the problem's validity horizon "
-            f"t <= {problem.t_max} (the data degenerates beyond it)"
+            f"t_final = {params.t_final} marches to t = {params.last_time}, past the "
+            f"problem's validity horizon t <= {problem.t_max} (the data degenerates beyond it)"
         )
     indices = output_steps(output_times, params)
     wanted = set(indices)

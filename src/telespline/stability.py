@@ -20,38 +20,32 @@ root with positive real part, which for nonnegative coefficients is
 automatic.  The triple (A+B+C, A-C, A-B+C) is therefore reported alongside
 the scanned amplification maximum.
 
-:func:`stability_sweep` scans many theta values in one pass: the
-w-coefficients form a theta column, and |delta|max is evaluated on blocks of
-theta rows x phi columns small enough to stay in cache.  Most of each row is
-never evaluated.  A, B and C are affine in c = cos(phi), so the discriminant
-is a quadratic in c,
+A, B and C are affine in c = cos(phi).  While A keeps one strict sign on
+[-1, 1] (negating the quadratic moves no root, so take A > 0), both roots
+lie in |delta| <= r exactly when |C| <= A r^2 and A r^2 +- B r + C >= 0
+(the Schur-Cohn, or Jury, test for a real quadratic), and for each r these
+cut out an interval of c.  So the largest |delta| over [0, pi] lies at an
+end, phi = 0 or phi = pi (E. I. Jury, Theory and Application of the
+z-Transform Method, 1964; J. J. H. Miller, J. Inst. Math. Appl. 8 (1971)).
+:func:`stability_sweep` therefore evaluates |delta|max at cos(phi) = 1 and
+-1 only, for a whole theta column at once; :func:`stability_scan` is the
+sweep of one theta.
 
-    B^2 - 4 A C = q2 c^2 + q1 c + q0
-    q2 = 4 w3^2 - 16 w1 a1
-    q1 = 4 w3 w4 - 8 (w2 a1 + w1 a2)
-    q0 = w4^2 - 4 w2 a2
-
-and where it is negative the roots are a complex pair with |delta|^2 = C/A,
-which is monotone in c wherever A keeps its sign.  When q2 > 0 with two
-roots c_lo < c_hi, the real-root samples of a row are a prefix
-(cos(phi) >= c_hi) and a suffix (cos(phi) <= c_lo) of the phi samples, and
-the row is evaluated only on those, padded by a few columns: every skipped
-sample lies between the two evaluated edges of the complex run, so it
-cannot beat the larger of them.  The sweep takes that result only when
-three checks prove it: the discriminant is clearly negative on the skipped
-span, the lead A is well conditioned and of one sign, and the row maximum
-clearly beats both edges (see :func:`_proven_bands`).  Every row that fails
-a check, and every row of another shape (q2 <= 0, all roots real, a
-degenerate lead, NaN), is evaluated on all phi samples.  Either way an
-evaluated entry is computed by the same elementwise operations on the same
-cos(phi) value, so each row equals a single-theta scan and the full grid bit
-for bit; :func:`stability_scan` is the sweep of one theta.
+The rule's precondition is checked on every row, and exactly: A is affine
+in c, so it keeps one strict sign on [-1, 1] exactly when its two end
+values do.  A row whose A vanishes somewhere on [0, pi] has a root that
+grows without bound there and reads max_amplification = inf at that phi.
+For the scheme's own weights this happens on coarse meshes only.  With
+A = lambda (a2 + 2 a1 c) - k^2 theta (a6 + 2 a5 c) and lambda >= 1, a cell
+width h < 2 pi / 3 gives a2 +- 2 a1 > 0 and a6 +- 2 a5 < 0, so A > 0 on
+every row.  Above 2 pi / 3 both signs flip at c = 1 and not at c = -1, so
+A changes sign on every row and every row reads unbounded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,23 +54,9 @@ from .basis import BasisWeights, UniformMesh, basis_weights
 
 _DEGENERATE_LEAD = 1e-14
 _STABILITY_SLACK = 1e-12
-# grid points per block of theta rows: about 64 KiB per temporary
-_BLOCK_POINTS = 8192
-# Constants of the band proof in _proven_bands; u = 2^-53 is the unit roundoff.
-# Columns added to each side of a complex run, beyond the closed-form band edge.
-_PAD_COLUMNS = 2
-# tau: the kernel's B^2 - 4AC and the closed form (q2 c + q1) c + q0 each lie
-# within about 7u * scale of the exact discriminant, scale = sB^2 + 4 sA sC
-# (s_ = the sum of the term magnitudes of A, B, C on [-1, 1]); a closed-form
-# maximum below -tau * scale, tau >> 14u ~ 1.6e-15, leaves every skipped
-# kernel entry a complex pair.
-_DISC_MARGIN = 1e-12
-# A and C within this factor of their term magnitudes: each is then computed
-# to a relative 2u * 100 ~ 2.2e-14, and sqrt(C/A) to about 2.3e-14.
-_CONDITION_CAP = 100.0
-# The row maximum must beat both evaluated edges of the complex run by this
-# relative gap, well above the 5e-14 by which a skipped entry can exceed them.
-_EDGE_GAP = 1e-12
+# the two ends of the mode range, phi = 0 and phi = pi, and their cosines
+_END_PHI = np.array([0.0, math.pi])
+_END_COS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -178,152 +158,49 @@ def _max_amplification_grid(fc: FourierCoefficients, cos: np.ndarray) -> np.ndar
     return np.where(abs_a < _DEGENERATE_LEAD, np.inf, amp)
 
 
-def _smaller_end(const, slope):
-    """min |const + 2 slope c| over c in [-1, 1]: the smaller end, or 0 on a sign change."""
-    hi, lo = const + 2.0 * slope, const - 2.0 * slope
-    return np.where(hi * lo > 0.0, np.minimum(np.abs(hi), np.abs(lo)), 0.0)
-
-
-def _proven_bands(fc: FourierCoefficients, cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per theta row, how many leading and trailing phi columns decide it.
-
-    Returns int arrays ``left`` and ``right``.  From column ``left - 1`` to
-    column ``P - right`` a row is proven to hold complex pairs only, with
-    |delta|^2 = C/A monotone in cos(phi) and |delta| computed to a relative
-    2.3e-14.  So no skipped column (strictly between those two) exceeds the
-    larger of them by more than 5e-14 relative, and once the row's maximum
-    over the evaluated columns beats both by ``_EDGE_GAP`` (the caller's
-    check), its first argmax is the first argmax over all columns.  This
-    still holds for any wider ``left`` and ``right`` that skip a column.
-    Rows it cannot prove, NaN included, get ``left = P`` and ``right = 0``.
-    """
-    samples = len(cos)
-    w1, w2, w3, w4 = (np.ravel(w) for w in (fc.w1, fc.w2, fc.w3, fc.w4))
-    a1, a2 = fc.a1, fc.a2
-    with np.errstate(all="ignore"):
-        q2 = 4.0 * w3 * w3 - 16.0 * w1 * a1
-        q1 = 4.0 * w3 * w4 - 8.0 * (w2 * a1 + w1 * a2)
-        q0 = w4 * w4 - 4.0 * w2 * a2
-        # real roots of the discriminant, cancellation-free
-        root_disc = q1 * q1 - 4.0 * q2 * q0
-        t = -(q1 + np.copysign(np.sqrt(root_disc), q1)) / 2.0
-        c_hi = np.maximum(t / q2, q0 / t)
-        c_lo = np.minimum(t / q2, q0 / t)
-        # q2 > 0: real samples at cos >= c_hi (a prefix) and cos <= c_lo (a
-        # suffix).  A concave discriminant (q2 < 0, so w1 a1 > 0) is B^2 >= 0
-        # where A vanishes, so it always has real roots; such a row is
-        # unproven, like every other shape.
-        two_bands = (q2 > 0.0) & (root_disc > 0.0)
-        per_radian = (samples - 1) / math.pi
-        left = np.floor(np.arccos(np.clip(c_hi, -1.0, 1.0)) * per_radian) + (1 + _PAD_COLUMNS)
-        right = samples + _PAD_COLUMNS - np.ceil(np.arccos(np.clip(c_lo, -1.0, 1.0)) * per_radian)
-        skips = two_bands & (left + right < samples)
-        left = np.where(skips, left, 1.0).astype(np.intp)
-        right = np.where(skips, right, 1.0).astype(np.intp)
-
-        # 1. the discriminant's maximum on [cos(phi_{P-right}), cos(phi_{left-1})],
-        # at one of its ends since q2 > 0
-        lo, hi = cos[samples - right], cos[left - 1]
-        peak = np.maximum((q2 * lo + q1) * lo + q0, (q2 * hi + q1) * hi + q0)
-        s_a, s_b = np.abs(w2) + 2.0 * np.abs(w1), np.abs(w4) + 2.0 * np.abs(w3)
-        s_c = abs(a2) + 2.0 * abs(a1)
-        complex_span = peak < -_DISC_MARGIN * (s_b * s_b + 4.0 * s_a * s_c)
-
-        # 2. A of one sign on [-1, 1], well conditioned and far from degenerate;
-        # so is C, which does not depend on theta
-        a_min = _smaller_end(w2, w1)
-        lead_ok = (
-            (a_min * _CONDITION_CAP > s_a)
-            & (a_min > 2.0 * _DEGENERATE_LEAD)
-            & (_smaller_end(a2, a1) * _CONDITION_CAP > s_c)
-        )
-
-    # cos must fall along the columns for a skipped sample to lie between the edges
-    proven = skips & complex_span & lead_ok & np.all(np.diff(cos) < 0.0)
-    return np.where(proven, left, samples), np.where(proven, right, 0)
-
-
-def _row_maxima(fc: FourierCoefficients, rows: np.ndarray, cos: np.ndarray):
-    """|delta|max of the theta ``rows`` on ``cos``, its first argmax and value."""
-    amp = _max_amplification_grid(
-        replace(fc, w1=fc.w1[rows], w2=fc.w2[rows], w3=fc.w3[rows], w4=fc.w4[rows]), cos
-    )
-    first = amp.argmax(axis=1)
-    return amp, first, amp[np.arange(len(rows)), first]
-
-
 def sweep_columns(
-    alpha: float,
-    beta: float,
-    thetas: Sequence[float],
-    dt: float,
-    mesh: UniformMesh,
-    phi_samples: int = 721,
+    alpha: float, beta: float, thetas: Sequence[float], dt: float, mesh: UniformMesh
 ) -> tuple[list[float], list[float], list[float], list[float], list[float], list[bool]]:
     """:func:`stability_sweep`'s results as columns, one entry per theta:
     ``max_amplification``, ``worst_phi``, the three Routh-Hurwitz values
     and ``stable``, each a list."""
-    if phi_samples < 2:
-        raise ValueError(f"phi_samples must be at least 2, got {phi_samples}")
     column = np.asarray(thetas, dtype=float).reshape(-1, 1)
     fc = fourier_coefficients(alpha, beta, column, dt, basis_weights(mesh))
-    phis = np.linspace(0.0, math.pi, phi_samples)
-    cos = np.cos(phis)
-
-    worst = np.empty(len(column), dtype=np.intp)
-    max_amp = np.empty(len(column))
-    left, right = _proven_bands(fc, cos)
-    banded = np.flatnonzero(left < phi_samples)
-    full = [np.flatnonzero(left == phi_samples)]
-    # chunks of consecutive banded rows, each at most a block wide
-    count = max(1, _BLOCK_POINTS // int((left[banded] + right[banded]).max(initial=1)))
-    for start in range(0, len(banded), count):
-        chunk = banded[start : start + count]
-        wide_left, wide_right = int(left[chunk].max()), int(right[chunk].max())
-        if wide_left + wide_right >= phi_samples:
-            full.append(chunk)
-            continue
-        cols = np.r_[0:wide_left, phi_samples - wide_right : phi_samples]
-        amp, first, peak = _row_maxima(fc, chunk, cos[cols])
-        # 3. the maximum beats both edges of the skipped span (NaN fails)
-        with np.errstate(over="ignore"):
-            beaten = peak > np.maximum(amp[:, wide_left - 1], amp[:, wide_left]) * (1.0 + _EDGE_GAP)
-        worst[chunk[beaten]] = cols[first[beaten]]
-        max_amp[chunk[beaten]] = peak[beaten]
-        full.append(chunk[~beaten])
-
-    rows = np.concatenate(full)
-    count = max(1, _BLOCK_POINTS // phi_samples)
-    for start in range(0, len(rows), count):
-        chunk = rows[start : start + count]
-        _, worst[chunk], max_amp[chunk] = _row_maxima(fc, chunk, cos)
-
+    amp = _max_amplification_grid(fc, _END_COS)
+    worst = amp.argmax(axis=1)  # the first maximum: a tie names phi = 0, a NaN wins
+    max_amp = amp[np.arange(len(amp)), worst]
+    worst_phi = _END_PHI[worst]
+    # A is affine in cos(phi): unless its end values share a strict sign it is
+    # zero at cos(phi) = -w2 / (2 w1), where a root is unbounded (A == 0
+    # throughout names phi = 0)
+    with np.errstate(all="ignore"):
+        lead = fc.w2 + 2.0 * fc.w1 * _END_COS
+        zero = np.nan_to_num(-fc.w2[:, 0] / (2.0 * fc.w1[:, 0]), nan=1.0)
+    vanishes = ~((lead > 0.0).all(axis=1) | (lead < 0.0).all(axis=1))
+    max_amp = np.where(vanishes, np.inf, max_amp)
+    worst_phi = np.where(vanishes, np.arccos(np.clip(zero, -1.0, 1.0)), worst_phi)
     with np.errstate(over="ignore", invalid="ignore"):
         rh1, rh2, rh3 = (r[:, 0].tolist() for r in routh_hurwitz_conditions(fc, math.pi))
     stable = (max_amp <= 1.0 + _STABILITY_SLACK).tolist()
-    return max_amp.tolist(), phis[worst].tolist(), rh1, rh2, rh3, stable
+    return max_amp.tolist(), worst_phi.tolist(), rh1, rh2, rh3, stable
 
 
 def stability_sweep(
-    alpha: float,
-    beta: float,
-    thetas: Sequence[float],
-    dt: float,
-    mesh: UniformMesh,
-    phi_samples: int = 721,
+    alpha: float, beta: float, thetas: Sequence[float], dt: float, mesh: UniformMesh
 ) -> list[StabilityReport]:
-    """Scan phi over [0, pi] for each theta; one report per theta, in order.
+    """Evaluate phi = 0 and phi = pi for each theta; one report per theta, in order.
 
-    ``max_amplification`` is the first maximum over the phi samples; a NaN
-    amplification counts as the maximum and reads unstable.  At theta = 0
-    with alpha < beta every sample is a complex pair with |delta|^2 =
-    1 / (1 + 2 alpha k) exactly, so the row ties in exact arithmetic:
-    ``max_amplification`` is exact to rounding, but rounding decides which
-    phi ``worst_phi`` names (likewise for theta up to about 1e-9).
+    ``max_amplification`` is the larger of the two ends, which is the
+    maximum over all of [0, pi] (see the module docstring), and
+    ``worst_phi`` is the end that gives it.  A tie names phi = 0; a NaN
+    amplification counts as the maximum and reads unstable.  A row whose
+    lead A vanishes on [0, pi] (every row once the cell width exceeds
+    2 pi / 3) reads ``max_amplification = inf`` at the phi where A = 0.
+    At theta = 0 with alpha < beta every phi is a complex pair with
+    |delta|^2 = 1 / (1 + 2 alpha k) exactly, so the two ends tie in exact
+    arithmetic and rounding decides which of them ``worst_phi`` names.
     """
-    max_amp, worst_phi, rh1, rh2, rh3, stable = sweep_columns(
-        alpha, beta, thetas, dt, mesh, phi_samples
-    )
+    max_amp, worst_phi, rh1, rh2, rh3, stable = sweep_columns(alpha, beta, thetas, dt, mesh)
     return [
         StabilityReport(max_amplification=m, worst_phi=phi, rh_conditions=rh, stable=s)
         for m, phi, rh, s in zip(max_amp, worst_phi, zip(rh1, rh2, rh3), stable)
@@ -331,12 +208,7 @@ def stability_sweep(
 
 
 def stability_scan(
-    alpha: float,
-    beta: float,
-    theta: float,
-    dt: float,
-    mesh: UniformMesh,
-    phi_samples: int = 721,
+    alpha: float, beta: float, theta: float, dt: float, mesh: UniformMesh
 ) -> StabilityReport:
-    """Scan phi over [0, pi] and report the worst amplification factor."""
-    return stability_sweep(alpha, beta, [theta], dt, mesh, phi_samples)[0]
+    """The worst amplification factor over phi in [0, pi] for one theta."""
+    return stability_sweep(alpha, beta, [theta], dt, mesh)[0]

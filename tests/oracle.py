@@ -11,8 +11,10 @@ function's branch on absolute knots, which the cell kernel of
 writer that the CLI's frame templates must match byte for byte, the
 scalar root solver of the amplification quadratic at one mode angle, which
 the grid kernel of :mod:`telespline.stability` mirrors, and the stability
-sweep that evaluates every (theta, phi) pair, which the band-aware sweep of
-:mod:`telespline.stability` must match bit for bit.
+sweep that evaluates every (theta, phi) pair of a phi grid: with the two
+samples phi = 0 and phi = pi it must equal the two-end sweep of
+:mod:`telespline.stability` bit for bit, and a finer grid, which holds both
+ends, can only read a larger maximum.
 """
 
 import cmath
@@ -40,7 +42,6 @@ from telespline.linalg import (
 from telespline.metrics import error_norms
 from telespline.problem import sample
 from telespline.stability import (
-    _BLOCK_POINTS,
     _DEGENERATE_LEAD,
     _STABILITY_SLACK,
     FourierCoefficients,
@@ -320,6 +321,10 @@ def stability_text(thetas, reports, sep: str) -> str:
         rows.append([format_cell(v) for v in numbers] + [verdict])
     header = ["theta", "max_amplification", "worst_phi", "rh1", "rh2", "rh3", "verdict"]
     return write_rows(header, rows, sep)
+
+
+# grid points per block of theta rows: about 64 KiB per temporary
+_BLOCK_POINTS = 8192
 
 
 def full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples=721) -> list[StabilityReport]:

@@ -248,7 +248,7 @@ def test_criterion_06_stability_region():
                     for h in (math.pi / 10, math.pi / 40, 0.5):
                         n = max(3, int(round(math.pi / h)))
                         mesh = UniformMesh(0.0, n * h, n)
-                        rep = stability_scan(alpha, beta, theta, k, mesh, 721)
+                        rep = stability_scan(alpha, beta, theta, k, mesh)
                         worst_amp = max(worst_amp, rep.max_amplification)
                         worst_rh = min(worst_rh, min(rep.rh_conditions))
                         count += 1
@@ -264,7 +264,7 @@ def test_criterion_06_stability_region():
 
 def test_criterion_07_instability_witness():
     t0 = time.perf_counter()
-    rep = stability_scan(0.0, 0.0, 0.0, 1.0, UniformMesh(0.0, math.pi, 40), 721)
+    rep = stability_scan(0.0, 0.0, 0.0, 1.0, UniformMesh(0.0, math.pi, 40))
     elapsed = time.perf_counter() - t0
     ok = rep.max_amplification > 1.0 and not rep.stable and elapsed < 1.0
     report(

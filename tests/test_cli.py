@@ -483,7 +483,7 @@ class TestStability:
     @pytest.mark.parametrize(
         "extra",
         [
-            ["--phi-samples", "1"],
+            ["--theta", "1.5"],
             ["--sweep", "theta=0:1"],
             ["--sweep", "theta=1:0:0.1"],
             ["--domain", "junk"],
@@ -773,7 +773,7 @@ class TestWriterMatchesReference:
         )
         assert code == 0
         thetas = cli._parse_sweep("theta=0:1:0.05")
-        reports = stability_sweep(0.0, 0.0, thetas, 1.0, cli.UniformMesh(0.0, math.pi, 40), 721)
+        reports = stability_sweep(0.0, 0.0, thetas, 1.0, cli.UniformMesh(0.0, math.pi, 40))
         assert {report.stable for report in reports} == {True, False}
         assert out == oracle.stability_text(thetas, reports, sep)
 

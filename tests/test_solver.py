@@ -526,6 +526,17 @@ class TestProblemContract:
         history = run(p, mesh, SchemeParams(theta=0.5, dt=0.1, t_final=1.0), [1.0])
         assert history.frames[-1].time == pytest.approx(1.0)
 
+    def test_horizon_is_checked_at_the_last_level_marched(self):
+        # t_final = 1.05 lies past t_max = 1, but its last level is t = 1.0
+        p = builtin_problem(2)
+        mesh = UniformMesh(0.0, 2.0, 10)
+        params = SchemeParams(theta=0.5, dt=0.1, t_final=1.05)
+        assert params.last_time == pytest.approx(1.0)
+        history = run(p, mesh, params, [params.last_time])
+        assert history.frames[-1].time == pytest.approx(1.0)
+        with pytest.raises(ValueError, match=r"marches to t = 1\.1, past the problem's"):
+            run(p, mesh, SchemeParams(theta=0.5, dt=0.1, t_final=1.1), [0.5])
+
     def test_finite_difference_end_slopes_on_a_fine_mesh(self):
         # without g1' the end slopes come from central differences of g1; the
         # step must not shrink with h, or rounding swamps them on fine meshes
