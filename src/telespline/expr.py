@@ -19,7 +19,11 @@ recursive compile and evaluation within Python's recursion limit.
 
 A parsed :class:`Expression` is compiled once into a tree of closures over
 numpy operations, so ``expression(x, t)`` evaluates it on floats or, with
-numpy broadcasting, on whole float64 arrays in one call.  Arithmetic
+numpy broadcasting, on whole float64 arrays in one call.  Each largest part
+below the root that reads x but not t, such as ``sin(x)`` in
+``exp(-t)*sin(x)``, keeps its last value and computes it again only when
+the bits of x change, so a run that passes the same knots at every step
+evaluates it once.  Arithmetic
 follows numpy's (``^`` is numpy's ``**``), and :class:`EvaluationError`
 is raised where the scalar ``math`` functions would fail, checked element
 by element: a zero divisor, or a function or ``^`` that turns non-NaN
@@ -325,19 +329,62 @@ def _call(name: str, arg):
     return call
 
 
-def _compile(node: Node):
-    """A closure ``f(x, t)`` evaluating ``node``; x and t are numpy values."""
+_X_ONLY = frozenset({"x"})
+
+
+def _kept(closure):
+    """The closure of a subtree that reads x but not t, keeping its last value
+    (see :func:`telespline.problem._memo`)."""
+    # imported on first use: the constants that ``stability --domain`` parses
+    # keep nothing, so that command does not load ``problem``
+    from .problem import _memo
+
+    memo = _memo(lambda x: closure(x, None))
+    return lambda x, t: memo(x)
+
+
+def _hoisted(children, root: bool):
+    """The closures of a node's ``(child, (closure, reads))`` pairs, and the
+    variables the node reads.
+
+    A child that reads x but not t is kept (:func:`_kept`) when it is a
+    maximal such subtree: when the node reads t, or is the root.  The root
+    itself is never kept, because a caller may write into the array it
+    gets.  Nor is a bare ``x``: it costs nothing, and keeping it would make
+    the caller's array read-only.
+    """
+    reads = frozenset().union(*(variables for _, (_, variables) in children))
+    if reads == _X_ONLY and not root:
+        return [closure for _, (closure, _) in children], reads
+    return [
+        _kept(closure) if variables == _X_ONLY and not isinstance(child, Var) else closure
+        for child, (closure, variables) in children
+    ], reads
+
+
+def _compile(node: Node, root: bool = False):
+    """A closure ``f(x, t)`` evaluating ``node`` (x and t are numpy values),
+    and the variables it reads, from one bottom-up pass.
+
+    The children are compiled inline, one stack frame per tree level, which
+    keeps the deepest tree the parser accepts within the recursion limit.
+    """
     if isinstance(node, Num):
         value = np.float64(node.value)
-        return lambda x, t: value
+        return (lambda x, t: value), frozenset()
     if isinstance(node, Var):
-        return (lambda x, t: x) if node.name == "x" else (lambda x, t: t)
+        closure = (lambda x, t: x) if node.name == "x" else (lambda x, t: t)
+        return closure, frozenset({node.name})
     if isinstance(node, Neg):
-        return _negate(_compile(node.operand))
+        (operand,), reads = _hoisted([(node.operand, _compile(node.operand))], root)
+        return _negate(operand), reads
     if isinstance(node, BinOp):
-        return _BINARY[node.op](_compile(node.left), _compile(node.right))
+        children = [(node.left, _compile(node.left)), (node.right, _compile(node.right))]
+        (left, right), reads = _hoisted(children, root)
+        return _BINARY[node.op](left, right), reads
     if isinstance(node, Call):
-        return _call(node.func, _compile(node.arg))
+        (arg,), reads = _hoisted([(node.arg, _compile(node.arg))], root)
+        return _call(node.func, arg), reads
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -357,18 +404,6 @@ def _unparse(node: Node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _collect_variables(node: Node, out: set[str]) -> None:
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_variables(node.operand, out)
-    elif isinstance(node, BinOp):
-        _collect_variables(node.left, out)
-        _collect_variables(node.right, out)
-    elif isinstance(node, Call):
-        _collect_variables(node.arg, out)
-
-
 @dataclass(frozen=True)
 class Expression:
     """A parsed expression in the variables x and t.
@@ -381,9 +416,12 @@ class Expression:
 
     root: Node
     _function: Callable = field(init=False, repr=False, compare=False)
+    _variables: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_function", _compile(self.root))
+        function, variables = _compile(self.root, root=True)
+        object.__setattr__(self, "_function", function)
+        object.__setattr__(self, "_variables", variables)
 
     def __call__(self, x=0.0, t=0.0):
         with np.errstate(all="ignore"):
@@ -396,9 +434,7 @@ class Expression:
         return float(np.ravel(self(np.array([x], dtype=float), t))[0])
 
     def variables(self) -> frozenset[str]:
-        names: set[str] = set()
-        _collect_variables(self.root, names)
-        return frozenset(names)
+        return self._variables
 
     def __str__(self) -> str:
         return _unparse(self.root)

@@ -59,6 +59,11 @@ class TelegraphProblem:
     ``math`` functions give this; a callable that only takes scalars does
     not work.  The boundary callables ``left`` and ``right`` take a scalar t.
 
+    A run calls ``forcing`` with the same knot array at every step.  The
+    callables must be pure in (x, t): the same bits in, the same value out.
+    The built-in problems and config expressions keep their x-only factors,
+    such as sin(x), and compute them again only when the bits of x change.
+
     ``initial_slope`` optionally supplies g1' in closed form; when absent the
     derivative end conditions fall back to central differencing of g1.
     ``t_max`` optionally marks the largest time the data stays regular for;
@@ -102,6 +107,33 @@ class TelegraphProblem:
 def sample(function: Callable[..., object], x: np.ndarray, *args: float) -> np.ndarray:
     """``function(x, *args)`` as an array of x's shape, from one call."""
     return np.broadcast_to(function(x, *args), x.shape)
+
+
+def _memo(function: Callable[[np.ndarray], object]) -> Callable:
+    """``function(x)``, recomputed only when the bits of x change.
+
+    The one entry is keyed on x's shape, dtype and bytes, so a new array with
+    the same bits hits and an array mutated in place misses; callers need not
+    keep x read-only.  The kept value is made read-only, so ``function`` must
+    return a new array, not x itself.  Scalars bypass the memo.  A run
+    passes the same knots at every step, so an x-only factor of the data
+    costs one evaluation per run instead of one per step.
+    """
+    entry: tuple = (None, None)
+
+    def memo(x):
+        nonlocal entry
+        if not isinstance(x, np.ndarray):
+            return function(x)
+        key = (x.shape, x.dtype, x.tobytes())
+        if key != entry[0]:
+            value = function(x)
+            if isinstance(value, np.ndarray):  # not the scalar of a 0-d x
+                value.flags.writeable = False
+            entry = (key, value)
+        return entry[1]
+
+    return memo
 
 
 def central_slope(f: Callable[[float], float], x: float, step: float) -> float:
@@ -153,17 +185,18 @@ def validate(problem: TelegraphProblem, mesh) -> list[Diagnostic]:
 
 def _problem_one() -> TelegraphProblem:
     """Decaying standing wave exp(-t) sin(x) on [0, pi], Dirichlet ends."""
+    sin_x = _memo(np.sin)
     return TelegraphProblem(
         alpha=4.0,
         beta=2.0,
         domain=(0.0, math.pi),
-        forcing=lambda x, t: -2 * np.exp(-t) * np.sin(x),
+        forcing=lambda x, t: -2 * np.exp(-t) * sin_x(x),
         initial_value=lambda x: np.sin(x),
         initial_velocity=lambda x: -np.sin(x),
         boundary=BoundarySpec(
             BoundaryKind.DIRICHLET, lambda t: 0.0, lambda t: 0.0
         ),
-        exact=lambda x, t: np.exp(-t) * np.sin(x),
+        exact=lambda x, t: np.exp(-t) * sin_x(x),
         initial_slope=lambda x: np.cos(x),
     )
 
@@ -191,30 +224,32 @@ def _problem_two() -> TelegraphProblem:
 
 def _problem_three() -> TelegraphProblem:
     """Parabolic bump (x - x^2) t^2 exp(-t) growing from rest on [0, 1]."""
+    bump = _memo(lambda x: x - x ** 2)
     return TelegraphProblem(
         alpha=0.5,
         beta=1.0,
         domain=(0.0, 1.0),
-        forcing=lambda x, t: (2 - 2 * t + t ** 2) * (x - x ** 2) * np.exp(-t)
+        forcing=lambda x, t: (2 - 2 * t + t ** 2) * bump(x) * np.exp(-t)
         + 2 * t ** 2 * np.exp(-t),
         initial_value=lambda x: 0.0,
         initial_velocity=lambda x: 0.0,
         boundary=BoundarySpec(
             BoundaryKind.DIRICHLET, lambda t: 0.0, lambda t: 0.0
         ),
-        exact=lambda x, t: (x - x ** 2) * t ** 2 * np.exp(-t),
+        exact=lambda x, t: bump(x) * t ** 2 * np.exp(-t),
         initial_slope=lambda x: 0.0,
     )
 
 
 def _problem_four() -> TelegraphProblem:
     """Oscillating profile cos(t) sin(x) on [0, 1], Dirichlet ends."""
+    sin_x = _memo(np.sin)
     return TelegraphProblem(
         alpha=6.0,
         beta=2.0,
         domain=(0.0, 1.0),
-        forcing=lambda x, t: -12 * np.sin(t) * np.sin(x)
-        + 4 * np.cos(t) * np.sin(x),
+        forcing=lambda x, t: -12 * np.sin(t) * sin_x(x)
+        + 4 * np.cos(t) * sin_x(x),
         initial_value=lambda x: np.sin(x),
         initial_velocity=lambda x: 0.0,
         boundary=BoundarySpec(
@@ -222,18 +257,19 @@ def _problem_four() -> TelegraphProblem:
             lambda t: 0.0,
             lambda t: np.cos(t) * np.sin(1),
         ),
-        exact=lambda x, t: np.cos(t) * np.sin(x),
+        exact=lambda x, t: np.cos(t) * sin_x(x),
         initial_slope=lambda x: np.cos(x),
     )
 
 
 def _problem_five() -> TelegraphProblem:
     """Decaying wave exp(-t) sin(x) on [0, 2 pi] with Neumann end data."""
+    sin_x = _memo(np.sin)
     return TelegraphProblem(
         alpha=4.0,
         beta=2.0,
         domain=(0.0, 2 * math.pi),
-        forcing=lambda x, t: -2 * np.exp(-t) * np.sin(x),
+        forcing=lambda x, t: -2 * np.exp(-t) * sin_x(x),
         initial_value=lambda x: np.sin(x),
         initial_velocity=lambda x: -np.sin(x),
         boundary=BoundarySpec(
@@ -241,7 +277,7 @@ def _problem_five() -> TelegraphProblem:
             lambda t: np.exp(-t),
             lambda t: np.exp(-t),
         ),
-        exact=lambda x, t: np.exp(-t) * np.sin(x),
+        exact=lambda x, t: np.exp(-t) * sin_x(x),
         initial_slope=lambda x: np.cos(x),
     )
 

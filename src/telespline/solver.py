@@ -39,7 +39,9 @@ U^{j-1} it needs is the U^j of the step before, which :func:`run` keeps.
 Problem data are sampled as arrays: every data callable is called once per
 use with the whole knot array (see
 :class:`telespline.problem.TelegraphProblem`), so a step costs one forcing
-call (two with theta-blended forcing).  :func:`initial_coefficients`,
+call (two with theta-blended forcing).  Every step passes the same knot
+array, so the built-in and config problems evaluate their x-only factors,
+such as sin(x), once per run.  :func:`initial_coefficients`,
 :func:`assemble_step` and :func:`step` build the fit, a single step's system
 and its solution on their own with the same arithmetic, so they reproduce
 :func:`run` exactly.
@@ -60,6 +62,10 @@ from .linalg import CornerTridiagonalFactor, CornerTridiagonalSystem, SingularSy
 from .problem import BoundaryKind, TelegraphProblem, central_slope, sample, slope_step
 
 _TIME_ALIGN_TOL = 1e-9
+
+# widest cell a run accepts: above it the value symbol a2 + 2 a1 cos(phi) of
+# the basis, and with it the implicit level's symbol, vanishes inside (0, pi)
+_MAX_CELL_WIDTH = 2 * math.pi / 3
 
 _FORCING_LEVELS = ("j", "theta")
 
@@ -337,9 +343,15 @@ def run(
 ) -> SolutionHistory:
     """March from t = 0 and capture the requested output times.
 
-    The output times follow :func:`output_steps`, and the last level
-    marched, ``params.last_time``, must not pass the problem's ``t_max``.
+    The output times follow :func:`output_steps`, the last level marched,
+    ``params.last_time``, must not pass the problem's ``t_max``, and the cell
+    width must lie below 2 pi / 3.
     """
+    if not mesh.h < _MAX_CELL_WIDTH:
+        raise ValueError(
+            f"cell width h = {mesh.h} is not below 2*pi/3 = {_MAX_CELL_WIDTH}: on such "
+            f"cells the Fourier symbol of the implicit level vanishes; use more cells"
+        )
     if problem.t_max is not None and params.last_time > problem.t_max + 1e-12:
         raise ValueError(
             f"t_final = {params.t_final} marches to t = {params.last_time}, past the "

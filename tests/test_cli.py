@@ -687,6 +687,17 @@ class TestFailureExitCodes:
         assert "row 1" in err
         assert "theta = 0" in err and "proportional" in err
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_cells_wider_than_two_thirds_pi_exit_2(self, capsys, write_config, command):
+        path = write_config(1, domain="0, 7.5", alpha="0", beta="0", q="0")
+        code, out, err = run_cli(
+            [command, "--config", path, "--n", "3", "--dt", "0.1", "--t-final", "5"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cell width h = 2.5 is not below 2*pi/3 = 2.0943951023931953")
+
     def test_forcing_turning_non_finite_exits_2(self, capsys, write_config):
         # finite at t = 0, overflows to inf from the first step on
         path = write_config(1, q="t*1e300*1e300")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import telespline.expr as expr_module
 from telespline.expr import (
     MAX_NESTING,
     MAX_OPERATORS,
@@ -287,3 +288,79 @@ def test_array_call_matches_evaluate_elementwise(tree, t):
         each = np.array(each)
         same_bits = whole.view(np.uint64) == each.view(np.uint64)
         assert np.all(same_bits | (np.isnan(whole) & np.isnan(each)))
+
+
+def _bits(value):
+    """What a call gave, down to the bits: the error, or type, shape and bytes."""
+    if value is EvaluationError:
+        return value
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree=_small_trees(),
+    t=st.sampled_from([0.0, -0.75, 0.5]),
+    changed=st.integers(min_value=0, max_value=_GRID.size - 1),
+)
+def test_kept_subtrees_give_the_bits_of_a_fresh_parse(tree, t, changed):
+    # the x-only subtrees keep their last value between calls; it must be
+    # the value they would recompute, whatever happened to x in between
+    expression = parse(str(Expression(tree)))
+
+    def fresh(x):
+        return _bits(_outcome(lambda: parse(str(Expression(tree)))(x, t)))
+
+    x = _GRID.copy()
+    for points in (x, x, x.copy(), np.array(x[::-1][::-1])):
+        assert _bits(_outcome(lambda: expression(points, t))) == fresh(points)
+    x[changed] = -x[changed] - 0.375  # in place: same object, new bits
+    assert _bits(_outcome(lambda: expression(x, t))) == fresh(x)
+    x *= 0.5
+    result = _outcome(lambda: expression(x, t))
+    assert _bits(result) == fresh(x)
+    # the root is never kept, so a caller may write into what it gets
+    if isinstance(result, np.ndarray) and result is not x:
+        assert result.flags.writeable
+        result[...] = 7.0
+        assert _bits(_outcome(lambda: expression(x, t))) == fresh(x)
+
+
+class TestKeptSubtrees:
+    def test_failing_subtree_raises_on_every_call(self):
+        expression = parse("t*(1/sin(x))")
+        x = np.linspace(0.0, 1.0, 5)
+        for _ in range(3):
+            with pytest.raises(EvaluationError) as info:
+                expression(x, 0.5)
+            assert info.value.operation == "/"
+        assert np.isfinite(expression(x[1:], 0.5)).all()
+        with pytest.raises(EvaluationError):
+            expression(x, 0.5)
+
+    def test_x_only_factor_is_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def sine(value):
+            calls.append(value)
+            return np.sin(value)
+
+        monkeypatch.setitem(expr_module._FUNCTIONS, "sin", sine)
+        expression = parse("(2 - 2*1.3 + 1.7^2)*exp(-t)*sin(x)")
+        x = np.linspace(0.0, 3.0, 9)
+        for t in (0.0, 0.1, 0.2):
+            want = (2 - 2 * 1.3 + 1.7**2) * np.exp(-t) * np.sin(x)
+            assert expression(x, t).tobytes() == want.tobytes()
+        assert len(calls) == 1
+        # the root is not kept, even when it reads x alone
+        root = parse("sin(x)")
+        root(x, 0.0)
+        root(x, 0.0)
+        assert len(calls) == 3
+
+    def test_variables_come_from_the_compile_pass(self):
+        assert parse("exp(-t)*sin(x) + 2").variables() == {"x", "t"}
+        assert parse("sin(x)^2").variables() == {"x"}
+        assert parse("2*pi").variables() == frozenset()
+        longest = "x" + "+x" * MAX_OPERATORS
+        assert parse(longest).variables() == {"x"}

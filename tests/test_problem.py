@@ -1,19 +1,23 @@
 """Built-in problems: data values, consistency diagnostics, PDE residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from telespline.basis import UniformMesh
+from telespline.metrics import error_norms
 from telespline.problem import (
     BoundaryKind,
     BoundarySpec,
     TelegraphProblem,
+    _memo,
     builtin_problem,
     central_slope,
     validate,
 )
+from telespline.solver import SchemeParams, run
 
 
 class TestBuiltinData:
@@ -192,3 +196,132 @@ def test_exact_solutions_satisfy_their_pde(pid):
             2 * delta
         )
         assert fd_slope == pytest.approx(p.initial_slope(x), abs=1e-6)
+
+
+class TestMemo:
+    def setup_method(self):
+        self.calls = []
+
+        def sine(x):
+            self.calls.append(x)
+            return np.sin(x)
+
+        self.memo = _memo(sine)
+
+    def test_equal_bits_hit(self):
+        x = np.linspace(0.0, 3.0, 11)
+        first = self.memo(x)
+        assert self.memo(x) is first
+        assert self.memo(x.copy()) is first
+        assert self.memo(x[::-1][::-1]) is first  # a strided view, same bits
+        assert len(self.calls) == 1
+        assert first.tobytes() == np.sin(x).tobytes()
+
+    def test_changed_bits_miss(self):
+        x = np.linspace(0.0, 3.0, 11)
+        self.memo(x)
+        x[4] += 0.5  # in place: the same object with new bits
+        assert self.memo(x).tobytes() == np.sin(x).tobytes()
+        # 0.0 and -0.0 compare equal but are different bits, and so are
+        # their sines
+        zero = np.zeros(3)
+        assert not np.signbit(self.memo(zero)).any()
+        assert np.signbit(self.memo(-zero)).all()
+        assert self.memo(x[:5]).shape == (5,)
+        assert self.memo(x.astype(np.float32)).dtype == np.float32
+        # the same bytes under another shape or dtype
+        self.memo(x)
+        assert self.memo(x.reshape(1, -1)).shape == (1, 11)
+        self.memo(x)
+        ints = x.view(np.int64)
+        assert self.memo(ints).tobytes() == np.sin(ints).tobytes()
+        assert len(self.calls) == 10
+
+    def test_kept_value_is_read_only(self):
+        x = np.linspace(0.0, 3.0, 11)
+        with pytest.raises(ValueError, match="read-only"):
+            self.memo(x)[0] = 1.0
+        assert x.flags.writeable
+
+    def test_scalars_bypass(self):
+        assert self.memo(0.5) == math.sin(0.5)
+        assert self.memo(np.float64(0.5)) == math.sin(0.5)
+        assert self.memo(0.5) == math.sin(0.5)
+        assert len(self.calls) == 3
+        # a 0-d array is kept, though its sine is a scalar
+        assert self.memo(np.array(0.5)) == math.sin(0.5)
+        assert self.memo(np.array(0.5)) == math.sin(0.5)
+        assert len(self.calls) == 4
+
+    def test_errors_are_not_kept(self):
+        def fails(x):
+            self.calls.append(x)
+            raise ZeroDivisionError
+
+        memo = _memo(fails)
+        x = np.ones(4)
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                memo(x)
+        assert len(self.calls) == 2
+
+
+# the forcing and exact solution of each built-in that keeps an x-only factor,
+# as plain lambdas that recompute every factor
+_UNCACHED = {
+    1: dict(
+        forcing=lambda x, t: -2 * np.exp(-t) * np.sin(x),
+        exact=lambda x, t: np.exp(-t) * np.sin(x),
+    ),
+    3: dict(
+        forcing=lambda x, t: (2 - 2 * t + t ** 2) * (x - x ** 2) * np.exp(-t)
+        + 2 * t ** 2 * np.exp(-t),
+        exact=lambda x, t: (x - x ** 2) * t ** 2 * np.exp(-t),
+    ),
+    4: dict(
+        forcing=lambda x, t: -12 * np.sin(t) * np.sin(x) + 4 * np.cos(t) * np.sin(x),
+        exact=lambda x, t: np.cos(t) * np.sin(x),
+    ),
+    5: dict(
+        forcing=lambda x, t: -2 * np.exp(-t) * np.sin(x),
+        exact=lambda x, t: np.exp(-t) * np.sin(x),
+    ),
+}
+
+
+class TestKeptFactors:
+    """The built-ins keep their x-only factors and still give the bits of
+    the plain formulas."""
+
+    @pytest.mark.parametrize("pid", sorted(_UNCACHED))
+    @pytest.mark.parametrize("level", ["j", "theta"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_runs_equal_uncached_data_bit_for_bit(self, pid, level, theta):
+        built = builtin_problem(pid)
+        plain = dataclasses.replace(built, **_UNCACHED[pid])
+        mesh = UniformMesh(built.domain[0], built.domain[1], 40)
+        params = SchemeParams(theta=theta, dt=0.01, t_final=0.3, forcing_level=level)
+        times = [0.0, 0.01, 0.15, 0.3]
+        got = run(built, mesh, params, times)
+        want = run(plain, mesh, params, times)
+        assert len(got.frames) == len(want.frames) == len(times)
+        for ours, theirs in zip(got.frames, want.frames):
+            assert ours.values.tobytes() == theirs.values.tobytes()
+        norms = [
+            np.array(dataclasses.astuple(error_norms(history.frames[-1], p, mesh)))
+            for history, p in ((got, built), (want, plain))
+        ]
+        assert norms[0].tobytes() == norms[1].tobytes()
+
+    @pytest.mark.parametrize("pid", sorted(_UNCACHED))
+    def test_data_equal_uncached_data_bit_for_bit(self, pid):
+        built = builtin_problem(pid)
+        plain = _UNCACHED[pid]
+        x = np.linspace(built.domain[0], built.domain[1], 17)
+        for t in (0.0, 0.3, 2.5):
+            for name in ("forcing", "exact"):
+                for points in (x, x.copy(), 0.4):
+                    got = np.asarray(getattr(built, name)(points, t))
+                    assert got.tobytes() == np.asarray(plain[name](points, t)).tobytes()
+                assert getattr(built, name)(x, t).flags.writeable
+            x[3] = -x[3]  # in place

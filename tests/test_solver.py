@@ -537,6 +537,20 @@ class TestProblemContract:
         with pytest.raises(ValueError, match=r"marches to t = 1\.1, past the problem's"):
             run(p, mesh, SchemeParams(theta=0.5, dt=0.1, t_final=1.1), [0.5])
 
+    def test_run_refuses_cells_wider_than_two_thirds_pi(self):
+        # above 2 pi / 3 the value symbol a2 + 2 a1 cos(phi) vanishes inside
+        # (0, pi), and a march there returns garbage without a warning
+        p = dataclasses.replace(builtin_problem(1), domain=(0.0, 7.5))
+        mesh = UniformMesh(0.0, 7.5, 3)  # the mesh itself stays allowed
+        assert mesh.h == 2.5
+        params = SchemeParams(theta=0.5, dt=0.1, t_final=0.5)
+        with pytest.raises(ValueError, match=r"cell width h = 2\.5 is not below 2\*pi/3 = 2\.094"):
+            run(p, mesh, params, [0.5])
+        # just below the limit the run goes ahead
+        narrow = UniformMesh(0.0, 3 * 2.09, 3)
+        history = run(dataclasses.replace(p, domain=(0.0, 3 * 2.09)), narrow, params, [0.5])
+        assert np.isfinite(history.frames[-1].values).all()
+
     def test_finite_difference_end_slopes_on_a_fine_mesh(self):
         # without g1' the end slopes come from central differences of g1; the
         # step must not shrink with h, or rounding swamps them on fine meshes
