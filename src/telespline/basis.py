@@ -40,7 +40,8 @@ sum_i C_i TB_i over i = -3 .. N-1 therefore has the knot identities
     U'(x_j)  = a3 C_{j-3}             + a4 C_{j-1}
     U''(x_j) = a5 C_{j-3} + a6 C_{j-2} + a5 C_{j-1}
 
-used throughout the collocation solver.
+used throughout the collocation solver; :func:`scheme_stencil` turns them
+into the time scheme's weights on those three coefficients.
 """
 
 from __future__ import annotations
@@ -148,6 +149,42 @@ def basis_weights(mesh: UniformMesh) -> BasisWeights:
         / (2 * math.sin(h / 2) ** 2 * (1 + 2 * math.cos(h)))
     )
     return BasisWeights(a1, a2, a3, a4, a5, a6)
+
+
+def scheme_stencil(
+    alpha: float, beta: float, theta, k: float, weights: BasisWeights, first_step: bool = False
+) -> tuple:
+    """The scheme's weights (w1, w2, w3, w4) on the coefficients around a knot.
+
+    Collocating the three-level theta scheme at knot x_j (see
+    :mod:`telespline.solver`) reads, with S = C_{j-3} + C_{j-1} the two side
+    coefficients and M = C_{j-2} the middle one,
+
+        w1 S^{j+1} + w2 M^{j+1} = w3 S^j + w4 M^j - U^{j-1}(x_j) + k^2 q
+
+    where, with lambda = 1 + 2 alpha k + k^2 theta beta^2 and
+    mu = 2 + 2 alpha k - (1 - theta) k^2 beta^2,
+
+        w1 = lambda a1 - k^2 theta a5       w3 = mu a1 + (1 - theta) k^2 a5
+        w2 = lambda a2 - k^2 theta a6       w4 = mu a2 + (1 - theta) k^2 a6
+
+    ``first_step`` adds the ghost level's 1 to lambda.  The step matrix,
+    the step's right-hand side and the von Neumann analysis all read these.
+    ``theta`` is a float or an array, and the weights take its shape; an
+    overflow gives a non-finite weight silently, for the caller to check.
+    """
+    beta2 = beta * beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = 1.0 + 2.0 * alpha * k + k * k * theta * beta2
+        if first_step:
+            lam = lam + 1.0
+        mu = 2.0 + 2.0 * alpha * k - (1.0 - theta) * k * k * beta2
+        return (
+            lam * weights.a1 - k * k * theta * weights.a5,
+            lam * weights.a2 - k * k * theta * weights.a6,
+            mu * weights.a1 + (1.0 - theta) * k * k * weights.a5,
+            mu * weights.a2 + (1.0 - theta) * k * k * weights.a6,
+        )
 
 
 def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -23,7 +23,10 @@ numpy broadcasting, on whole float64 arrays in one call.  Each largest part
 below the root that reads x but not t, such as ``sin(x)`` in
 ``exp(-t)*sin(x)``, keeps its last value and computes it again only when
 the bits of x change, so a run that passes the same knots at every step
-evaluates it once.  Arithmetic
+evaluates it once.  Each largest part that reads neither x nor t, such as
+``(2 - 2*1.3 + 1.7^2)``, is evaluated once when the expression is built,
+unless that raises :class:`EvaluationError`: then it stays as it is and
+raises at every call, as an unfolded part would.  Arithmetic
 follows numpy's (``^`` is numpy's ``**``), and :class:`EvaluationError`
 is raised where the scalar ``math`` functions would fail, checked element
 by element: a zero divisor, or a function or ``^`` that turns non-NaN
@@ -343,6 +346,22 @@ def _kept(closure):
     return lambda x, t: memo(x)
 
 
+def _folded(closure):
+    """The closure of a subtree that reads neither x nor t, evaluated once.
+
+    The value is a numpy float whatever the call's x and t, so the call
+    would compute the same bits.  A subtree whose evaluation raises stays a
+    closure, so its :class:`EvaluationError` is raised at each call, as
+    before folding.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            value = closure(None, None)
+    except EvaluationError:
+        return closure
+    return lambda x, t: value
+
+
 def _hoisted(children, root: bool):
     """The closures of a node's ``(child, (closure, reads))`` pairs, and the
     variables the node reads.
@@ -351,13 +370,17 @@ def _hoisted(children, root: bool):
     maximal such subtree: when the node reads t, or is the root.  The root
     itself is never kept, because a caller may write into the array it
     gets.  Nor is a bare ``x``: it costs nothing, and keeping it would make
-    the caller's array read-only.
+    the caller's array read-only.  A child that reads no variable is
+    folded (:func:`_folded`) when the node reads one; a constant root is
+    folded by :class:`Expression`.
     """
     reads = frozenset().union(*(variables for _, (_, variables) in children))
-    if reads == _X_ONLY and not root:
+    if not reads or (reads == _X_ONLY and not root):
         return [closure for _, (closure, _) in children], reads
     return [
-        _kept(closure) if variables == _X_ONLY and not isinstance(child, Var) else closure
+        _kept(closure) if variables == _X_ONLY and not isinstance(child, Var)
+        else _folded(closure) if not variables and not isinstance(child, Num)
+        else closure
         for child, (closure, variables) in children
     ], reads
 
@@ -420,6 +443,8 @@ class Expression:
 
     def __post_init__(self) -> None:
         function, variables = _compile(self.root, root=True)
+        if not variables:
+            function = _folded(function)
         object.__setattr__(self, "_function", function)
         object.__setattr__(self, "_variables", variables)
 

@@ -24,18 +24,21 @@ the diagonal and +2 k g2(x_i) on the right-hand side.
 The initial coefficient vector interpolates g1 at all knots and matches
 g1' at both ends (for either boundary kind), which closes the system.
 
-One builder, :func:`_collocation_matrix`, writes every matrix: knot rows
-``value_weight * U - curvature_weight * U_xx`` between the two boundary
-rows of one kind.  The initial fit is (1, 0, Neumann), since its g1' end
-rows are the Neumann rows; a step is (lambda, k^2 theta, the problem's
-kind), where lambda = 1 + 2 alpha k + k^2 theta beta^2 gains the ghost-level
-+1 on the first step.  The step matrix therefore depends on the step only
-through that +1, so :func:`run` builds and factors it twice per run: once
-for the first step and once, on the second step, for every later one.
-Each step then builds just its right-hand side and solves with the kept
-factor (:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).
-A step evaluates the spline at the knots twice, for U^j and (U_xx)^j; the
-U^{j-1} it needs is the U^j of the step before, which :func:`run` keeps.
+The rows' weights come from :func:`telespline.basis.scheme_stencil`, the
+one definition the von Neumann analysis of :mod:`telespline.stability`
+also reads.  One builder, :func:`_collocation_matrix`, writes every matrix:
+the knot rows' band (lo, mid, lo) between the two boundary rows of one
+kind.  The initial fit is (a1, a2, Neumann), since its g1' end rows are the
+Neumann rows; a step is (w1, w2, the problem's kind), where lambda gains
+the ghost-level +1 on the first step.  The step matrix therefore depends on
+the step only through that +1, so :func:`run` builds and factors it twice
+per run: once for the first step and once, on the second step, for every
+later one.  Each step then builds just its right-hand side, the fused
+stencil w3 S + w4 M - U^{j-1} + k^2 q over the coefficients (S the two side
+ones, M the middle one), and solves with the kept factor
+(:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).  A step
+evaluates no spline at the knots: U^j = a1 S + a2 M, the U^{j-1} of the next
+step, comes from the same sum S.
 Problem data are sampled as arrays: every data callable is called once per
 use with the whole knot array (see
 :class:`telespline.problem.TelegraphProblem`), so a step costs one forcing
@@ -57,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisWeights, UniformMesh, basis_weights, knot_values
+from .basis import BasisWeights, UniformMesh, basis_weights, scheme_stencil
 from .linalg import CornerTridiagonalFactor, CornerTridiagonalSystem, SingularSystemError, solve
 from .problem import BoundaryKind, TelegraphProblem, central_slope, sample, slope_step
 
@@ -159,21 +162,14 @@ def _end_slopes(problem: TelegraphProblem, mesh: UniformMesh) -> np.ndarray:
 
 
 def _collocation_matrix(
-    w: BasisWeights,
-    n_cells: int,
-    value_weight: float,
-    curvature_weight: float,
-    kind: BoundaryKind,
+    w: BasisWeights, n_cells: int, lo: float, mid: float, kind: BoundaryKind
 ) -> CornerTridiagonalSystem:
     """The band of every system in this module, with a zero right-hand side.
 
-    Each knot's row collocates ``value_weight * U - curvature_weight * U_xx``;
-    the first and last rows are the boundary rows of ``kind``: U at the ends
-    for Dirichlet, U_x (the same rows as the fit's g1' rows) for Neumann.
+    Each knot's row is ``lo, mid, lo`` on its three coefficients; the first
+    and last rows are the boundary rows of ``kind``: U at the ends for
+    Dirichlet, U_x (the same rows as the fit's g1' rows) for Neumann.
     """
-    lo = value_weight * w.a1 - curvature_weight * w.a5
-    mid = value_weight * w.a2 - curvature_weight * w.a6
-
     n = n_cells + 3
     sub = np.full(n - 1, lo)
     diag = np.full(n, mid)
@@ -187,28 +183,13 @@ def _collocation_matrix(
     return CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, np.zeros(n))
 
 
-def _step_weights(
-    problem: TelegraphProblem, params: SchemeParams, first_step: bool
-) -> tuple[float, float]:
-    """The step's (value_weight, curvature_weight): lambda and k^2 theta.
-
-    The ghost level adds 1 to lambda on the first step.
-    """
-    k = params.dt
-    curvature = k * k * params.theta
-    lam = 1.0 + 2.0 * problem.alpha * k + curvature * problem.beta**2
-    if first_step:
-        lam += 1.0
-    return lam, curvature
-
-
 def _fit_initial(
     problem: TelegraphProblem, mesh: UniformMesh, w: BasisWeights, knots: np.ndarray
 ) -> CoefficientFrame:
     rhs = np.empty(mesh.n_cells + 3)
     rhs[1:-1] = sample(problem.initial_value, knots)
     rhs[0], rhs[-1] = _end_slopes(problem, mesh)
-    matrix = _collocation_matrix(w, mesh.n_cells, 1.0, 0.0, BoundaryKind.NEUMANN)
+    matrix = _collocation_matrix(w, mesh.n_cells, w.a1, w.a2, BoundaryKind.NEUMANN)
     return CoefficientFrame(values=solve(replace(matrix, rhs=rhs)), time=0.0)
 
 
@@ -220,6 +201,7 @@ def initial_coefficients(problem: TelegraphProblem, mesh: UniformMesh) -> Coeffi
 def _step_rhs(
     problem: TelegraphProblem,
     params: SchemeParams,
+    stencil: tuple[float, float, float, float],
     w: BasisWeights,
     knots: np.ndarray,
     current: CoefficientFrame,
@@ -234,25 +216,23 @@ def _step_rhs(
     """
     k = params.dt
     theta = params.theta
-    alpha = problem.alpha
-    beta2 = problem.beta**2
+    _, _, w3, w4 = stencil
+    coeffs = current.values
+    middle = coeffs[1:-1]
 
-    u_now = knot_values(current.values, w, 0)
-    scratch = knot_values(current.values, w, 2)
     if params.forcing_level == "j":
         q_vals = sample(problem.forcing, knots, t_j)
     else:
         q_next = sample(problem.forcing, knots, t_j + k)
         q_vals = theta * q_next + (1.0 - theta) * sample(problem.forcing, knots, t_j)
 
-    # 2 (1 + alpha k) U + k^2 (1 - theta) (U_xx - beta^2 U) + k^2 q, summed
-    # left to right; ``scratch`` starts as U_xx, and q may be read-only
-    rhs = np.empty(len(knots) + 2)
+    # w3 S + w4 M + k^2 q, then - U^{j-1} (or the ghost level's + 2 k g2),
+    # summed left to right; q may be read-only
+    rhs = np.empty(coeffs.size)
     rhs_mid = rhs[1:-1]
-    np.multiply(u_now, beta2, out=rhs_mid)
-    np.subtract(scratch, rhs_mid, out=scratch)
-    np.multiply(scratch, k * k * (1.0 - theta), out=scratch)
-    np.multiply(u_now, 2.0 * (1.0 + alpha * k), out=rhs_mid)
+    side = np.add(coeffs[:-2], coeffs[2:])
+    scratch = np.multiply(middle, w4)
+    np.multiply(side, w3, out=rhs_mid)
     np.add(rhs_mid, scratch, out=rhs_mid)
     np.multiply(q_vals, k * k, out=scratch)
     np.add(rhs_mid, scratch, out=rhs_mid)
@@ -261,6 +241,10 @@ def _step_rhs(
         np.add(rhs_mid, scratch, out=rhs_mid)
     else:
         np.subtract(rhs_mid, u_prev, out=rhs_mid)
+    # U^j = a1 S + a2 M in the buffer of S; :func:`assemble_step` repeats it
+    u_now = np.multiply(side, w.a1, out=side)
+    np.multiply(middle, w.a2, out=scratch)
+    np.add(u_now, scratch, out=u_now)
 
     t_next = t_j + k
     rhs[0] = problem.boundary.left(t_next)
@@ -283,10 +267,12 @@ def assemble_step(
     replaces it).
     """
     w = basis_weights(mesh)
-    weights = _step_weights(problem, params, first_step)
-    matrix = _collocation_matrix(w, mesh.n_cells, *weights, problem.boundary.kind)
-    u_prev = None if first_step else knot_values(previous.values, w, 0)
-    rhs, _ = _step_rhs(problem, params, w, mesh.knots(), current, u_prev, t_j, first_step)
+    stencil = scheme_stencil(problem.alpha, problem.beta, params.theta, params.dt, w, first_step)
+    matrix = _collocation_matrix(w, mesh.n_cells, *stencil[:2], problem.boundary.kind)
+    old = previous.values
+    # U^{j-1} with the arithmetic of :func:`run`, which takes it from _step_rhs
+    u_prev = None if first_step else w.a1 * (old[:-2] + old[2:]) + w.a2 * old[1:-1]
+    rhs, _ = _step_rhs(problem, params, stencil, w, mesh.knots(), current, u_prev, t_j, first_step)
     return replace(matrix, rhs=rhs)
 
 
@@ -381,10 +367,12 @@ def run(
             # step 0 has its own matrix and every later step shares one; the
             # first-step factor is released before the second is built
             factor = None
-            weights = _step_weights(problem, params, first_step)
+            stencil = scheme_stencil(
+                problem.alpha, problem.beta, params.theta, params.dt, w, first_step
+            )
             try:
                 factor = CornerTridiagonalFactor(
-                    _collocation_matrix(w, mesh.n_cells, *weights, problem.boundary.kind)
+                    _collocation_matrix(w, mesh.n_cells, *stencil[:2], problem.boundary.kind)
                 )
             except SingularSystemError as exc:
                 if params.theta == 0 and problem.boundary.kind is BoundaryKind.DIRICHLET:
@@ -392,7 +380,9 @@ def run(
                 raise
         t_j = j * params.dt
         t_next = t_j + params.dt
-        rhs, u_prev = _step_rhs(problem, params, w, knots, current, u_prev, t_j, first_step)
+        rhs, u_prev = _step_rhs(
+            problem, params, stencil, w, knots, current, u_prev, t_j, first_step
+        )
         try:
             values = factor.solve(rhs)
         except ValueError as exc:

@@ -6,12 +6,9 @@ recurrence gives, per mode angle phi, the quadratic
     A(phi) delta^2 - B(phi) delta + C(phi) = 0
 
 with A = w2 + 2 w1 cos(phi), B = w4 + 2 w3 cos(phi), C = a2 + 2 a1 cos(phi),
-where the w-coefficients collect the scheme weights on the three time levels:
-
-    w1 = (1 + 2 alpha k + k^2 theta beta^2) a1 - k^2 theta a5
-    w2 = (1 + 2 alpha k + k^2 theta beta^2) a2 - k^2 theta a6
-    w3 = (2 + 2 alpha k - (1 - theta) k^2 beta^2) a1 + (1 - theta) k^2 a5
-    w4 = (2 + 2 alpha k - (1 - theta) k^2 beta^2) a2 + (1 - theta) k^2 a6
+where w1..w4 are the scheme's stencil on the three time levels, from
+:func:`telespline.basis.scheme_stencil`, the one definition that also
+builds the solver's step matrix and right-hand side.
 
 The scheme is stable at phi when both roots satisfy |delta| <= 1.  Mapping
 delta = (1 + xi)/(1 - xi) turns that into a Routh-Hurwitz condition: the
@@ -50,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisWeights, UniformMesh, basis_weights
+from .basis import BasisWeights, UniformMesh, basis_weights, scheme_stencil
 
 _DEGENERATE_LEAD = 1e-14
 _STABILITY_SLACK = 1e-12
@@ -101,15 +98,7 @@ def fourier_coefficients(
         raise ValueError(f"theta must lie in [0, 1], got {outside[0]}")
     if not dt >= 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
-    k = dt
-    beta2 = beta * beta
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = 1.0 + 2.0 * alpha * k + k * k * theta * beta2
-        mu = 2.0 + 2.0 * alpha * k - (1.0 - theta) * k * k * beta2
-        w1 = lam * weights.a1 - k * k * theta * weights.a5
-        w2 = lam * weights.a2 - k * k * theta * weights.a6
-        w3 = mu * weights.a1 + (1.0 - theta) * k * k * weights.a5
-        w4 = mu * weights.a2 + (1.0 - theta) * k * k * weights.a6
+    w1, w2, w3, w4 = scheme_stencil(alpha, beta, theta, dt, weights)
     if not np.all(np.isfinite([w1, w2, w3, w4])):
         raise ValueError(
             f"dt = {dt} gives non-finite Fourier coefficients w1..w4 "

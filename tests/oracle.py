@@ -14,7 +14,9 @@ the grid kernel of :mod:`telespline.stability` mirrors, and the stability
 sweep that evaluates every (theta, phi) pair of a phi grid: with the two
 samples phi = 0 and phi = pi it must equal the two-end sweep of
 :mod:`telespline.stability` bit for bit, and a finer grid, which holds both
-ends, can only read a larger maximum.
+ends, can only read a larger maximum, and the reference stepper whose
+right-hand side evaluates the spline at the knots twice per step, which
+the fused stencil of :mod:`telespline.solver` must match to rounding.
 """
 
 import cmath
@@ -30,6 +32,7 @@ from telespline.basis import (
     _require_nondegenerate,
     basis_weights,
     knot_values,
+    scheme_stencil,
 )
 from telespline.linalg import (
     _NEGLIGIBLE,
@@ -41,6 +44,7 @@ from telespline.linalg import (
 )
 from telespline.metrics import error_norms
 from telespline.problem import sample
+from telespline.solver import CoefficientFrame, _collocation_matrix, _fit_initial
 from telespline.stability import (
     _DEGENERATE_LEAD,
     _STABILITY_SLACK,
@@ -384,3 +388,68 @@ def amplification_roots(fc: FourierCoefficients, phi: float) -> tuple[complex, c
     sq = cmath.sqrt(complex(disc, 0.0))
     r1 = (b + sq) / (2.0 * a)
     return r1, r1.conjugate()
+
+
+def reference_step_rhs(problem, params, w, knots, current, u_prev, t_j, first_step):
+    """A step's right-hand side from two knot evaluations, U^j and (U_xx)^j,
+    and U^j itself, which the next step takes as its ``u_prev``.
+
+    The library's fused stencil over the coefficients must stay within
+    rounding of this.
+    """
+    k = params.dt
+    theta = params.theta
+    alpha = problem.alpha
+    beta2 = problem.beta**2
+
+    u_now = knot_values(current.values, w, 0)
+    scratch = knot_values(current.values, w, 2)
+    if params.forcing_level == "j":
+        q_vals = sample(problem.forcing, knots, t_j)
+    else:
+        q_next = sample(problem.forcing, knots, t_j + k)
+        q_vals = theta * q_next + (1.0 - theta) * sample(problem.forcing, knots, t_j)
+
+    # 2 (1 + alpha k) U + k^2 (1 - theta) (U_xx - beta^2 U) + k^2 q, summed
+    # left to right; ``scratch`` starts as U_xx, and q may be read-only
+    rhs = np.empty(len(knots) + 2)
+    rhs_mid = rhs[1:-1]
+    np.multiply(u_now, beta2, out=rhs_mid)
+    np.subtract(scratch, rhs_mid, out=scratch)
+    np.multiply(scratch, k * k * (1.0 - theta), out=scratch)
+    np.multiply(u_now, 2.0 * (1.0 + alpha * k), out=rhs_mid)
+    np.add(rhs_mid, scratch, out=rhs_mid)
+    np.multiply(q_vals, k * k, out=scratch)
+    np.add(rhs_mid, scratch, out=rhs_mid)
+    if first_step:
+        np.multiply(sample(problem.initial_velocity, knots), 2.0 * k, out=scratch)
+        np.add(rhs_mid, scratch, out=rhs_mid)
+    else:
+        np.subtract(rhs_mid, u_prev, out=rhs_mid)
+
+    t_next = t_j + k
+    rhs[0] = problem.boundary.left(t_next)
+    rhs[-1] = problem.boundary.right(t_next)
+    return rhs, u_now
+
+
+def reference_run(problem, mesh, params, steps: int) -> list[np.ndarray]:
+    """The coefficients of levels 0 .. ``steps``, marched with the library's
+    fit and step matrices and :func:`reference_step_rhs`."""
+    w = basis_weights(mesh)
+    knots = mesh.knots()
+    frames = [_fit_initial(problem, mesh, w, knots)]
+    u_prev = None
+    for j in range(steps):
+        if j < 2:
+            w1, w2, _, _ = scheme_stencil(
+                problem.alpha, problem.beta, params.theta, params.dt, w, j == 0
+            )
+            factor = CornerTridiagonalFactor(
+                _collocation_matrix(w, mesh.n_cells, w1, w2, problem.boundary.kind)
+            )
+        rhs, u_prev = reference_step_rhs(
+            problem, params, w, knots, frames[-1], u_prev, j * params.dt, j == 0
+        )
+        frames.append(CoefficientFrame(values=factor.solve(rhs), time=(j + 1) * params.dt))
+    return [frame.values for frame in frames]

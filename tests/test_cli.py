@@ -698,6 +698,17 @@ class TestFailureExitCodes:
         assert out == ""
         assert err.startswith("error: cell width h = 2.5 is not below 2*pi/3 = 2.0943951023931953")
 
+    def test_overflowing_beta_squared_exits_2(self, capsys, write_config):
+        # beta^2 overflows to inf, so the step matrix is not finite
+        path = write_config(1, beta="1e200")
+        code, out, err = run_cli(
+            ["solve", "--config", path, "--n", "20", "--dt", "0.01", "--t-final", "0.05"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: non-finite entries in sub")
+
     def test_forcing_turning_non_finite_exits_2(self, capsys, write_config):
         # finite at t = 0, overflows to inf from the first step on
         path = write_config(1, q="t*1e300*1e300")

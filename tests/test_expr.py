@@ -364,3 +364,65 @@ class TestKeptSubtrees:
         assert parse("2*pi").variables() == frozenset()
         longest = "x" + "+x" * MAX_OPERATORS
         assert parse(longest).variables() == {"x"}
+
+
+def _result(expression, x, t):
+    """A call's bits, or the operation and operands of the error it raised."""
+    try:
+        return _bits(expression(x, t))
+    except EvaluationError as error:
+        return EvaluationError, error.operation, error.operands
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_small_trees(), t=st.sampled_from([0.0, -0.75, 0.5]))
+def test_folded_constants_give_the_bits_of_unfolded_ones(tree, t):
+    folded = Expression(tree)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr_module, "_folded", lambda closure: closure)
+        unfolded = Expression(tree)
+    for x in (_GRID, 0.25, -3.0):
+        assert _result(folded, x, t) == _result(unfolded, x, t)
+
+
+class TestFoldedConstants:
+    def test_constant_subtree_is_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def exponential(value):
+            calls.append(value)
+            return np.exp(value)
+
+        monkeypatch.setitem(expr_module._FUNCTIONS, "exp", exponential)
+        expression = parse("(2 - 2*1.3 + 1.7^2)*exp(-1.5)*t + exp(-t)")
+        assert len(calls) == 1
+        for t in (0.0, 0.1, 0.2):
+            want = (2 - 2 * 1.3 + 1.7**2) * np.exp(-1.5) * t + np.exp(-t)
+            assert expression(0.0, t) == want
+        # only exp(-t) runs at each call
+        assert len(calls) == 4
+        assert parse("exp(2)").evaluate() == np.exp(2.0)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize(
+        "source, operation, operands",
+        [
+            ("1/0 + x", "/", (1.0, 0.0)),
+            ("1/0", "/", (1.0, 0.0)),
+            ("t*sqrt(-1)", "sqrt", (-1.0,)),
+            ("(2^3 + (-1)^0.5)*x", "^", (-1.0, 0.5)),
+            ("exp(1000) - exp(1000) + t", "exp", (1000.0,)),
+        ],
+    )
+    def test_failing_constant_raises_at_every_call(self, source, operation, operands):
+        expression = parse(source)
+        for _ in range(2):
+            with pytest.raises(EvaluationError) as info:
+                expression(np.linspace(0.0, 1.0, 3), 0.5)
+            assert (info.value.operation, info.value.operands) == (operation, operands)
+
+    def test_constant_root_is_a_numpy_float(self):
+        x = np.linspace(0.0, 1.0, 4)
+        value = parse("2*pi - 1")(x, np.zeros(3))
+        assert type(value) is np.float64
+        assert value == 2 * math.pi - 1

@@ -6,7 +6,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from telespline import linalg
-from telespline.basis import DegenerateMeshError, UniformMesh, basis_weights
+from telespline.basis import DegenerateMeshError, UniformMesh, basis_weights, scheme_stencil
 from telespline.linalg import (
     CornerTridiagonalFactor,
     CornerTridiagonalSystem,
@@ -17,7 +17,6 @@ from telespline.problem import builtin_problem
 from telespline.solver import (
     SchemeParams,
     _collocation_matrix,
-    _step_weights,
     assemble_step,
     initial_coefficients,
 )
@@ -347,9 +346,9 @@ def block_system(sub, diag, sup):
 def step_matrix(problem_id, n_cells, theta, dt, first_step):
     problem = builtin_problem(problem_id)
     mesh = UniformMesh(problem.domain[0], problem.domain[1], n_cells)
-    params = SchemeParams(theta=theta, dt=dt, t_final=dt)
-    weights = _step_weights(problem, params, first_step)
-    return _collocation_matrix(basis_weights(mesh), n_cells, *weights, problem.boundary.kind)
+    w = basis_weights(mesh)
+    w1, w2, _, _ = scheme_stencil(problem.alpha, problem.beta, theta, dt, w, first_step)
+    return _collocation_matrix(w, n_cells, w1, w2, problem.boundary.kind)
 
 
 class TestFixedPointSweep:

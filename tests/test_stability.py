@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from telespline import stability
-from telespline.basis import UniformMesh, basis_weights
+from telespline.basis import UniformMesh, basis_weights, scheme_stencil
 from telespline.stability import (
     FourierCoefficients,
     _max_amplification_grid,
@@ -35,6 +35,16 @@ class TestFourierCoefficients:
         assert fc.w2 == pytest.approx(lam * WEIGHTS.a2 - k * k * theta * WEIGHTS.a6)
         assert fc.w3 == pytest.approx(mu * WEIGHTS.a1 + (1 - theta) * k * k * WEIGHTS.a5)
         assert fc.w4 == pytest.approx(mu * WEIGHTS.a2 + (1 - theta) * k * k * WEIGHTS.a6)
+
+    def test_reads_the_solver_stencil_for_a_theta_column(self):
+        # the analysis and the stepper share one definition of the weights
+        column = np.linspace(0.0, 1.0, 101).reshape(-1, 1)
+        for alpha, beta, k in [(4.0, 2.0, 0.05), (0.0, 0.0, 1e-3), (1.3, 1.7, 0.7)]:
+            fc = fourier_coefficients(alpha, beta, column, k, WEIGHTS)
+            stencil = scheme_stencil(alpha, beta, column, k, WEIGHTS)
+            for got, want in zip((fc.w1, fc.w2, fc.w3, fc.w4), stencil):
+                assert got.shape == column.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_zero_step_collapses_to_identity_mode(self):
         # with k = 0 the three levels carry weights (1, 2, 1): w1 = a1,
