@@ -47,6 +47,7 @@ into the time scheme's weights on those three coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,11 @@ class UniformMesh:
     def __post_init__(self) -> None:
         if not self.b > self.a:
             raise ValueError(f"mesh needs b > a, got [{self.a}, {self.b}]")
+        try:
+            # numpy integers pass; 10.5 or "10" would change h or break knots()
+            object.__setattr__(self, "n_cells", operator.index(self.n_cells))
+        except TypeError:
+            raise ValueError(f"mesh needs an integer cell count, got {self.n_cells!r}") from None
         if self.n_cells < 3:
             raise ValueError(f"mesh needs at least 3 cells, got {self.n_cells}")
         h = (self.b - self.a) / self.n_cells

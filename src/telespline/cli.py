@@ -428,6 +428,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError and ExpressionError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # e.g. numpy's allocation failure for a huge --n
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
     return 0
 
 

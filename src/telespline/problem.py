@@ -85,7 +85,7 @@ class TelegraphProblem:
         a, b = self.domain
         if not b > a:
             raise ValueError(f"domain needs b > a, got [{a}, {b}]")
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails too
             raise ValueError(
                 f"damping and restoring coefficients must be nonnegative, "
                 f"got alpha={self.alpha}, beta={self.beta}"

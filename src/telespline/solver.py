@@ -331,8 +331,13 @@ def run(
 
     The output times follow :func:`output_steps`, the last level marched,
     ``params.last_time``, must not pass the problem's ``t_max``, and the cell
-    width must lie below 2 pi / 3.
+    width must lie below 2 pi / 3.  The mesh must span the problem's domain.
     """
+    if (mesh.a, mesh.b) != tuple(problem.domain):
+        raise ValueError(
+            f"mesh interval [{mesh.a}, {mesh.b}] is not the problem's domain "
+            f"[{problem.domain[0]}, {problem.domain[1]}]"
+        )
     if not mesh.h < _MAX_CELL_WIDTH:
         raise ValueError(
             f"cell width h = {mesh.h} is not below 2*pi/3 = {_MAX_CELL_WIDTH}: on such "

@@ -14,8 +14,8 @@ The scheme is stable at phi when both roots satisfy |delta| <= 1.  Mapping
 delta = (1 + xi)/(1 - xi) turns that into a Routh-Hurwitz condition: the
 transformed quadratic (A+B+C) xi^2 + 2 (A-C) xi + (A-B+C) = 0 must have no
 root with positive real part, which for nonnegative coefficients is
-automatic.  The triple (A+B+C, A-C, A-B+C) is therefore reported alongside
-the scanned amplification maximum.
+automatic.  Each report carries the triple (A+B+C, A-C, A-B+C) at phi = pi
+alongside the amplification maximum.
 
 A, B and C are affine in c = cos(phi).  While A keeps one strict sign on
 [-1, 1] (negating the quadratic moves no root, so take A > 0), both roots
@@ -24,9 +24,10 @@ lie in |delta| <= r exactly when |C| <= A r^2 and A r^2 +- B r + C >= 0
 cut out an interval of c.  So the largest |delta| over [0, pi] lies at an
 end, phi = 0 or phi = pi (E. I. Jury, Theory and Application of the
 z-Transform Method, 1964; J. J. H. Miller, J. Inst. Math. Appl. 8 (1971)).
-:func:`stability_sweep` therefore evaluates |delta|max at cos(phi) = 1 and
--1 only, for a whole theta column at once; :func:`stability_scan` is the
-sweep of one theta.
+:func:`sweep_columns` therefore forms A, B and C once per sweep, for the
+whole theta column at cos(phi) = 1 and -1, and reads the amplification,
+its phi, the lead's sign and the Routh-Hurwitz triple from those two
+columns; :func:`stability_scan` is the sweep of one theta.
 
 The rule's precondition is checked on every row, and exactly: A is affine
 in c, so it keeps one strict sign on [-1, 1] exactly when its two end
@@ -47,29 +48,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisWeights, UniformMesh, basis_weights, scheme_stencil
+from .basis import UniformMesh, basis_weights, scheme_stencil
 
 _DEGENERATE_LEAD = 1e-14
 _STABILITY_SLACK = 1e-12
 # the two ends of the mode range, phi = 0 and phi = pi, and their cosines
 _END_PHI = np.array([0.0, math.pi])
 _END_COS = np.array([1.0, -1.0])
-
-
-@dataclass(frozen=True)
-class FourierCoefficients:
-    """Per-mode recurrence weights, plus the basis weights a1 and a2 of C.
-
-    The w-coefficients are floats, or arrays shaped like the theta array
-    they were computed for.
-    """
-
-    w1: float
-    w2: float
-    w3: float
-    w4: float
-    a1: float
-    a2: float
 
 
 @dataclass(frozen=True)
@@ -82,56 +67,15 @@ class StabilityReport:
     stable: bool
 
 
-def fourier_coefficients(
-    alpha: float, beta: float, theta: float | np.ndarray, dt: float, weights: BasisWeights
-) -> FourierCoefficients:
-    """The w-coefficients of the per-mode amplification quadratic.
-
-    ``theta`` is a float or an array of values in [0, 1]; the w-coefficients
-    take its shape.  Raises ``ValueError`` when any of them is not finite.
-    """
-    if not (alpha >= 0 and beta >= 0):
-        raise ValueError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
-    values = np.ravel(theta)
-    outside = values[~((values >= 0.0) & (values <= 1.0))]
-    if outside.size:
-        raise ValueError(f"theta must lie in [0, 1], got {outside[0]}")
-    if not dt >= 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    w1, w2, w3, w4 = scheme_stencil(alpha, beta, theta, dt, weights)
-    if not np.all(np.isfinite([w1, w2, w3, w4])):
-        raise ValueError(
-            f"dt = {dt} gives non-finite Fourier coefficients w1..w4 "
-            f"(alpha = {alpha}, beta = {beta}); use a smaller dt"
-        )
-    return FourierCoefficients(w1=w1, w2=w2, w3=w3, w4=w4, a1=weights.a1, a2=weights.a2)
-
-
-def _quadratic_coefficients(fc: FourierCoefficients, cos: float | np.ndarray):
-    """A, B, C at cos(phi); broadcasts over array w-coefficients and cos."""
-    return (
-        fc.w2 + 2.0 * fc.w1 * cos,
-        fc.w4 + 2.0 * fc.w3 * cos,
-        fc.a2 + 2.0 * fc.a1 * cos,
-    )
-
-
-def routh_hurwitz_conditions(fc: FourierCoefficients, phi: float) -> tuple[float, float, float]:
-    """The triple (A+B+C, A-C, A-B+C) at mode angle phi (arrays for array w's)."""
-    a, b, c = _quadratic_coefficients(fc, math.cos(phi))
-    return (a + b + c, a - c, a - b + c)
-
-
-def _max_amplification_grid(fc: FourierCoefficients, cos: np.ndarray) -> np.ndarray:
-    """|delta|_max on the grid of fc's theta column x the cos(phi) row.
+def _max_amplification(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|delta|_max of A delta^2 - B delta + C = 0, element by element.
 
     Mirrors the scalar root solver ``amplification_roots`` of the tests'
     oracle: a degenerate lead gives inf, a complex pair gives sqrt(C/A), a
     real pair the larger root modulus, and a NaN discriminant gives NaN.
-    Every entry is written.
+    Every entry of the broadcast shape is written.
     """
     with np.errstate(all="ignore"):
-        a, b, c = _quadratic_coefficients(fc, cos)
         abs_a = np.abs(a)
         disc = b * b - 4.0 * a * c
         complex_pair = disc < 0.0
@@ -152,26 +96,45 @@ def sweep_columns(
 ) -> tuple[list[float], list[float], list[float], list[float], list[float], list[bool]]:
     """:func:`stability_sweep`'s results as columns, one entry per theta:
     ``max_amplification``, ``worst_phi``, the three Routh-Hurwitz values
-    and ``stable``, each a list."""
+    and ``stable``, each a list.
+
+    Raises ``ValueError`` for a negative alpha or beta, a theta outside
+    [0, 1], a negative dt, or a dt whose stencil w1..w4 is not finite.
+    """
     column = np.asarray(thetas, dtype=float).reshape(-1, 1)
-    fc = fourier_coefficients(alpha, beta, column, dt, basis_weights(mesh))
-    amp = _max_amplification_grid(fc, _END_COS)
+    weights = basis_weights(mesh)
+    if not (alpha >= 0 and beta >= 0):
+        raise ValueError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
+    outside = column[~((column >= 0.0) & (column <= 1.0))]
+    if outside.size:
+        raise ValueError(f"theta must lie in [0, 1], got {outside[0]}")
+    if not dt >= 0:
+        raise ValueError(f"dt must be nonnegative, got {dt}")
+    w1, w2, w3, w4 = scheme_stencil(alpha, beta, column, dt, weights)
+    if not np.all(np.isfinite([w1, w2, w3, w4])):
+        raise ValueError(
+            f"dt = {dt} gives non-finite Fourier coefficients w1..w4 "
+            f"(alpha = {alpha}, beta = {beta}); use a smaller dt"
+        )
+    with np.errstate(all="ignore"):
+        # A and B at cos(phi) = 1 and -1, one row per theta; C is the same on every row
+        a = w2 + 2.0 * w1 * _END_COS
+        b = w4 + 2.0 * w3 * _END_COS
+        c = weights.a2 + 2.0 * weights.a1 * _END_COS
+        # A is affine in cos(phi): unless its end values share a strict sign it
+        # is zero at cos(phi) = -w2 / (2 w1), where a root is unbounded (A == 0
+        # throughout names phi = 0)
+        zero = np.nan_to_num(-w2[:, 0] / (2.0 * w1[:, 0]), nan=1.0)
+        a_pi, b_pi, c_pi = a[:, 1], b[:, 1], c[1]
+        rh = (a_pi + b_pi + c_pi, a_pi - c_pi, a_pi - b_pi + c_pi)
+    amp = _max_amplification(a, b, c)
     worst = amp.argmax(axis=1)  # the first maximum: a tie names phi = 0, a NaN wins
     max_amp = amp[np.arange(len(amp)), worst]
-    worst_phi = _END_PHI[worst]
-    # A is affine in cos(phi): unless its end values share a strict sign it is
-    # zero at cos(phi) = -w2 / (2 w1), where a root is unbounded (A == 0
-    # throughout names phi = 0)
-    with np.errstate(all="ignore"):
-        lead = fc.w2 + 2.0 * fc.w1 * _END_COS
-        zero = np.nan_to_num(-fc.w2[:, 0] / (2.0 * fc.w1[:, 0]), nan=1.0)
-    vanishes = ~((lead > 0.0).all(axis=1) | (lead < 0.0).all(axis=1))
+    vanishes = ~((a > 0.0).all(axis=1) | (a < 0.0).all(axis=1))
     max_amp = np.where(vanishes, np.inf, max_amp)
-    worst_phi = np.where(vanishes, np.arccos(np.clip(zero, -1.0, 1.0)), worst_phi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rh1, rh2, rh3 = (r[:, 0].tolist() for r in routh_hurwitz_conditions(fc, math.pi))
+    worst_phi = np.where(vanishes, np.arccos(np.clip(zero, -1.0, 1.0)), _END_PHI[worst])
     stable = (max_amp <= 1.0 + _STABILITY_SLACK).tolist()
-    return max_amp.tolist(), worst_phi.tolist(), rh1, rh2, rh3, stable
+    return (max_amp.tolist(), worst_phi.tolist(), *(r.tolist() for r in rh), stable)
 
 
 def stability_sweep(

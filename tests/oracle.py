@@ -9,10 +9,12 @@ match bit for bit, the scalar spline evaluator that picks each basis
 function's branch on absolute knots, which the cell kernel of
 :mod:`telespline.basis` must match to rounding, and the per-cell output
 writer that the CLI's frame templates must match byte for byte, the
-scalar root solver of the amplification quadratic at one mode angle, which
-the grid kernel of :mod:`telespline.stability` mirrors, and the stability
-sweep that evaluates every (theta, phi) pair of a phi grid: with the two
-samples phi = 0 and phi = pi it must equal the two-end sweep of
+amplification quadratic's A, B and C at any mode angle, formed from
+:func:`telespline.basis.scheme_stencil` in the library's operation order,
+the scalar root solver of that quadratic, which the element-wise kernel of
+:mod:`telespline.stability` mirrors, and the stability sweep that runs that
+kernel on every (theta, phi) pair of a phi grid: with the two samples
+phi = 0 and phi = pi it must equal the two-end sweep of
 :mod:`telespline.stability` bit for bit, and a finer grid, which holds both
 ends, can only read a larger maximum, and the reference stepper whose
 right-hand side evaluates the spline at the knots twice per step, which
@@ -21,7 +23,6 @@ the fused stencil of :mod:`telespline.solver` must match to rounding.
 
 import cmath
 import math
-from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -48,12 +49,8 @@ from telespline.solver import CoefficientFrame, _collocation_matrix, _fit_initia
 from telespline.stability import (
     _DEGENERATE_LEAD,
     _STABILITY_SLACK,
-    FourierCoefficients,
     StabilityReport,
-    _max_amplification_grid,
-    _quadratic_coefficients,
-    fourier_coefficients,
-    routh_hurwitz_conditions,
+    _max_amplification,
 )
 
 
@@ -327,6 +324,28 @@ def stability_text(thetas, reports, sep: str) -> str:
     return write_rows(header, rows, sep)
 
 
+def quadratic(alpha, beta, theta, dt, weights, cos):
+    """A, B and C of the amplification quadratic at ``cos`` = cos(phi), from
+    the scheme's stencil, in the library's operation order.
+
+    ``theta`` and ``cos`` broadcast: a theta column by a cos row gives the
+    (theta, phi) grid.  Raises the library's ``ValueError`` when the stencil
+    w1..w4 is not finite.
+    """
+    w1, w2, w3, w4 = scheme_stencil(alpha, beta, theta, dt, weights)
+    if not np.all(np.isfinite([w1, w2, w3, w4])):
+        raise ValueError(
+            f"dt = {dt} gives non-finite Fourier coefficients w1..w4 "
+            f"(alpha = {alpha}, beta = {beta}); use a smaller dt"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            w2 + 2.0 * w1 * cos,
+            w4 + 2.0 * w3 * cos,
+            weights.a2 + 2.0 * weights.a1 * cos,
+        )
+
+
 # grid points per block of theta rows: about 64 KiB per temporary
 _BLOCK_POINTS = 8192
 
@@ -334,13 +353,13 @@ _BLOCK_POINTS = 8192
 def full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples=721) -> list[StabilityReport]:
     """:func:`telespline.stability.stability_sweep` evaluating every phi of every theta.
 
-    The grid kernel runs on blocks of consecutive theta rows by all
+    The library's kernel runs on blocks of consecutive theta rows by all
     ``phi_samples`` columns; each row reports its first maximum.
     """
     if phi_samples < 2:
         raise ValueError(f"phi_samples must be at least 2, got {phi_samples}")
     column = np.asarray(thetas, dtype=float).reshape(-1, 1)
-    fc = fourier_coefficients(alpha, beta, column, dt, basis_weights(mesh))
+    weights = basis_weights(mesh)
     phis = np.linspace(0.0, math.pi, phi_samples)
     cos = np.cos(phis)
 
@@ -349,15 +368,13 @@ def full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples=721) -> list[Stab
     max_amp = np.empty(len(column))
     for lo in range(0, len(column), rows):
         block = slice(lo, lo + rows)
-        amp = _max_amplification_grid(
-            replace(fc, w1=fc.w1[block], w2=fc.w2[block], w3=fc.w3[block], w4=fc.w4[block]),
-            cos,
-        )
+        amp = _max_amplification(*quadratic(alpha, beta, column[block], dt, weights, cos))
         worst[block] = amp.argmax(axis=1)
         max_amp[block] = amp[np.arange(len(amp)), worst[block]]
 
+    a, b, c = quadratic(alpha, beta, column[:, 0], dt, weights, -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        rh1, rh2, rh3 = (r[:, 0].tolist() for r in routh_hurwitz_conditions(fc, math.pi))
+        rh1, rh2, rh3 = (r.tolist() for r in (a + b + c, a - c, a - b + c))
     stable = (max_amp <= 1.0 + _STABILITY_SLACK).tolist()
     return [
         StabilityReport(max_amplification=m, worst_phi=phi, rh_conditions=rh, stable=s)
@@ -365,13 +382,12 @@ def full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples=721) -> list[Stab
     ]
 
 
-def amplification_roots(fc: FourierCoefficients, phi: float) -> tuple[complex, complex]:
-    """Both roots of A delta^2 - B delta + C = 0 at mode angle phi.
+def amplification_roots(a: float, b: float, c: float) -> tuple[complex, complex]:
+    """Both roots of A delta^2 - B delta + C = 0.
 
     When the quadratic degenerates (A ~ 0) the single linear root is paired
     with an infinite-magnitude marker.
     """
-    a, b, c = _quadratic_coefficients(fc, math.cos(phi))
     if abs(a) < _DEGENERATE_LEAD:
         marker = complex(math.inf, 0.0)
         if abs(b) < _DEGENERATE_LEAD:

@@ -81,6 +81,17 @@ class TestWeights:
         with pytest.raises(ValueError):
             UniformMesh(0.0, 10.0, 3)  # h > pi
 
+    @pytest.mark.parametrize("n_cells", [10.5, 10.0, "10"])
+    def test_cell_count_must_be_an_integer(self, n_cells):
+        # 10.5 would give h = 1/10.5 and 12 knots, and break run() in numpy
+        with pytest.raises(ValueError, match=f"integer cell count, got {n_cells!r}"):
+            UniformMesh(0.0, 1.0, n_cells)
+
+    def test_numpy_integer_cell_count_is_taken_as_int(self):
+        mesh = UniformMesh(0.0, 1.0, np.int64(10))
+        assert type(mesh.n_cells) is int and mesh.n_cells == 10
+        assert mesh == UniformMesh(0.0, 1.0, 10)
+
     def test_knot_helpers(self):
         mesh = UniformMesh(0.0, 1.0, 4)
         assert mesh.h == 0.25

@@ -721,6 +721,30 @@ class TestFailureExitCodes:
         assert "non-finite entries in rhs" in err
         assert err.startswith("error: step 1 (t = 0.02): ")
 
+    @pytest.mark.parametrize(
+        "raised, line",
+        [
+            (
+                MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)"),
+                "error: out of memory: Unable to allocate 74.5 GiB for an array with shape "
+                "(10000000001,)\n",
+            ),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["numpy-message", "no-message"],
+    )
+    def test_out_of_memory_exits_2_with_one_line(self, capsys, monkeypatch, raised, line):
+        # a huge --n fails in numpy's first allocation; stand in for it here
+        def knots(mesh):
+            raise raised
+
+        monkeypatch.setattr(telespline.basis.UniformMesh, "knots", knots)
+        code, out, err = run_cli(
+            ["solve", "--problem", "1", "--n", "20", "--dt", "1e-3", "--t-final", "0.01"],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", line)
+
 
 def _reference_run(argv):
     """The march the CLI makes for ``argv``, for the reference writer to format."""

@@ -101,6 +101,11 @@ class TestConstruction:
                 ),
             )
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_coefficients_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            dataclasses.replace(builtin_problem(1), alpha=alpha, beta=beta)
+
     def test_exact_must_extend_initial_profile(self):
         with pytest.raises(ValueError, match="initial profile"):
             TelegraphProblem(

@@ -364,6 +364,32 @@ class TestSchemeStencil:
         assert w1 == lam * w.a1 - k * k * theta * w.a5
         assert w2 == lam * w.a2 - k * k * theta * w.a6
 
+    def test_matches_the_weight_formulas(self):
+        alpha, beta, theta, k = 4.0, 2.0, 0.7, 0.05
+        w = basis_weights(UniformMesh(0.0, math.pi, 20))
+        w1, w2, w3, w4 = scheme_stencil(alpha, beta, theta, k, w)
+        lam = 1 + 2 * alpha * k + k * k * theta * beta**2
+        mu = 2 + 2 * alpha * k - (1 - theta) * k * k * beta**2
+        assert w1 == pytest.approx(lam * w.a1 - k * k * theta * w.a5)
+        assert w2 == pytest.approx(lam * w.a2 - k * k * theta * w.a6)
+        assert w3 == pytest.approx(mu * w.a1 + (1 - theta) * k * k * w.a5)
+        assert w4 == pytest.approx(mu * w.a2 + (1 - theta) * k * k * w.a6)
+
+    def test_zero_step_is_the_identity_mode(self):
+        # with k = 0 the three levels carry weights (1, 2, 1)
+        w = basis_weights(UniformMesh(0.0, math.pi, 20))
+        assert scheme_stencil(3.0, 2.0, 0.5, 0.0, w) == (w.a1, w.a2, 2.0 * w.a1, 2.0 * w.a2)
+
+    def test_theta_column_equals_scalar_calls(self):
+        # the stability sweep reads a theta column, the stepper one theta
+        w = basis_weights(UniformMesh(0.0, math.pi, 20))
+        column = np.linspace(0.0, 1.0, 101).reshape(-1, 1)
+        for alpha, beta, k in [(4.0, 2.0, 0.05), (0.0, 0.0, 1e-3), (1.3, 1.7, 0.7)]:
+            stencil = scheme_stencil(alpha, beta, column, k, w)
+            for row, theta in enumerate(column[:, 0].tolist()):
+                scalar = scheme_stencil(alpha, beta, theta, k, w)
+                assert [weight[row, 0] for weight in stencil] == list(scalar)
+
     def test_first_step_adds_one_to_lambda_only(self):
         w = basis_weights(UniformMesh(0.0, 1.0, 10))
         first = scheme_stencil(1.5, 2.0, 0.5, 0.01, w, first_step=True)
@@ -431,6 +457,13 @@ class TestRunContract:
         for i, frame in enumerate(frames):
             for other in frames[i + 1 :]:
                 assert not np.shares_memory(frame.values, other.values)
+
+    def test_mesh_must_span_the_problem_domain(self):
+        # problem 1 lives on [0, pi]; marched on [0, 1] it reads L_inf = 0.83
+        p = builtin_problem(1)
+        message = r"mesh interval \[0.0, 1.0\] is not the problem's domain \[0.0, 3.14159"
+        with pytest.raises(ValueError, match=message):
+            run(p, UniformMesh(0.0, 1.0, 10), self.params, [1.0])
 
     def test_no_knot_evaluations_per_step(self, monkeypatch):
         # the right-hand side is a stencil over the coefficients, and U^{j-1}

@@ -1,4 +1,4 @@
-"""Fourier-mode amplification: coefficients, roots, scans."""
+"""Fourier-mode amplification: roots, scans, sweeps."""
 
 import math
 import re
@@ -10,99 +10,37 @@ from hypothesis import strategies as st
 
 from telespline import stability
 from telespline.basis import UniformMesh, basis_weights, scheme_stencil
-from telespline.stability import (
-    FourierCoefficients,
-    _max_amplification_grid,
-    fourier_coefficients,
-    routh_hurwitz_conditions,
-    stability_scan,
-    stability_sweep,
-)
+from telespline.stability import _max_amplification, stability_scan, stability_sweep
 
-from oracle import amplification_roots, full_grid_sweep
+from oracle import amplification_roots, full_grid_sweep, quadratic
 
 MESH = UniformMesh(0.0, math.pi, 20)
 WEIGHTS = basis_weights(MESH)
 
 
-class TestFourierCoefficients:
-    def test_matches_scheme_weights(self):
-        alpha, beta, theta, k = 4.0, 2.0, 0.7, 0.05
-        fc = fourier_coefficients(alpha, beta, theta, k, WEIGHTS)
-        lam = 1 + 2 * alpha * k + k * k * theta * beta**2
-        mu = 2 + 2 * alpha * k - (1 - theta) * k * k * beta**2
-        assert fc.w1 == pytest.approx(lam * WEIGHTS.a1 - k * k * theta * WEIGHTS.a5)
-        assert fc.w2 == pytest.approx(lam * WEIGHTS.a2 - k * k * theta * WEIGHTS.a6)
-        assert fc.w3 == pytest.approx(mu * WEIGHTS.a1 + (1 - theta) * k * k * WEIGHTS.a5)
-        assert fc.w4 == pytest.approx(mu * WEIGHTS.a2 + (1 - theta) * k * k * WEIGHTS.a6)
-
-    def test_reads_the_solver_stencil_for_a_theta_column(self):
-        # the analysis and the stepper share one definition of the weights
-        column = np.linspace(0.0, 1.0, 101).reshape(-1, 1)
-        for alpha, beta, k in [(4.0, 2.0, 0.05), (0.0, 0.0, 1e-3), (1.3, 1.7, 0.7)]:
-            fc = fourier_coefficients(alpha, beta, column, k, WEIGHTS)
-            stencil = scheme_stencil(alpha, beta, column, k, WEIGHTS)
-            for got, want in zip((fc.w1, fc.w2, fc.w3, fc.w4), stencil):
-                assert got.shape == column.shape
-                assert got.tobytes() == want.tobytes()
-
-    def test_zero_step_collapses_to_identity_mode(self):
-        # with k = 0 the three levels carry weights (1, 2, 1): w1 = a1,
-        # w2 = a2, w3 = 2 a1, w4 = 2 a2, so both roots are exactly 1
-        fc = fourier_coefficients(3.0, 2.0, 0.5, 0.0, WEIGHTS)
-        assert fc.w1 == WEIGHTS.a1
-        assert fc.w2 == WEIGHTS.a2
-        assert fc.w3 == 2.0 * WEIGHTS.a1
-        assert fc.w4 == 2.0 * WEIGHTS.a2
-        report = stability_scan(3.0, 2.0, 0.5, 0.0, MESH)
-        assert report.max_amplification == 1.0
-        assert report.rh_conditions[1] == 0.0
-        assert report.rh_conditions[2] == 0.0
-        assert report.rh_conditions[0] >= 0.0
-        assert report.stable
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fourier_coefficients(-1.0, 2.0, 0.5, 0.1, WEIGHTS)
-        with pytest.raises(ValueError):
-            fourier_coefficients(1.0, 2.0, 1.5, 0.1, WEIGHTS)
-        with pytest.raises(ValueError):
-            fourier_coefficients(1.0, 2.0, 0.5, -0.1, WEIGHTS)
-
-
-def raw_coefficients(w1, w2, w3, w4, a1=0.0, a2=0.0):
-    """Coefficients chosen directly, bypassing the scheme formulas."""
-    return FourierCoefficients(w1=w1, w2=w2, w3=w3, w4=w4, a1=a1, a2=a2)
-
-
 class TestAmplificationRoots:
     def test_double_zero_root(self):
         # delta^2 = 0
-        fc = raw_coefficients(0.0, 1.0, 0.0, 0.0)
-        r1, r2 = amplification_roots(fc, math.pi / 2)
+        r1, r2 = amplification_roots(1.0, 0.0, 0.0)
         assert r1 == 0.0 and r2 == 0.0
 
     def test_pure_imaginary_pair(self):
         # delta^2 + 1 = 0
-        fc = raw_coefficients(0.0, 1.0, 0.0, 0.0, a1=0.0, a2=1.0)
-        r1, r2 = amplification_roots(fc, math.pi / 2)
+        r1, r2 = amplification_roots(1.0, 0.0, 1.0)
         assert sorted([r1, r2], key=lambda z: z.imag) == [complex(0, -1), complex(0, 1)]
         assert abs(r1) == pytest.approx(1.0)
 
     def test_double_unit_root(self):
         # delta^2 - 2 delta + 1 = 0
-        fc = raw_coefficients(0.0, 1.0, 0.0, 2.0, a1=0.0, a2=1.0)
-        r1, r2 = amplification_roots(fc, math.pi / 2)
+        r1, r2 = amplification_roots(1.0, 2.0, 1.0)
         assert r1 == pytest.approx(1.0)
         assert r2 == pytest.approx(1.0)
 
     def test_degenerate_lead_is_marked_infinite(self):
-        fc = raw_coefficients(0.0, 1e-20, 0.0, 2.0, a1=0.0, a2=3.0)
-        r1, r2 = amplification_roots(fc, math.pi / 2)
+        r1, r2 = amplification_roots(1e-20, 2.0, 3.0)
         assert r2 == complex(math.inf, 0.0)
         assert r1 == pytest.approx(1.5)  # linear root C / B
-        fc = raw_coefficients(0.0, 1e-20, 0.0, 1e-20, a1=0.0, a2=3.0)
-        r1, r2 = amplification_roots(fc, math.pi / 2)
+        r1, r2 = amplification_roots(1e-20, 1e-20, 3.0)
         assert r1 == complex(math.inf, 0.0) and r2 == complex(math.inf, 0.0)
 
     @given(
@@ -114,39 +52,23 @@ class TestAmplificationRoots:
     )
     @settings(max_examples=120, deadline=None)
     def test_roots_satisfy_vieta(self, alpha, beta, theta, dt, phi):
-        fc = fourier_coefficients(alpha, beta, theta, dt, WEIGHTS)
-        a, b, c = (
-            fc.w2 + 2 * fc.w1 * math.cos(phi),
-            fc.w4 + 2 * fc.w3 * math.cos(phi),
-            fc.a2 + 2 * fc.a1 * math.cos(phi),
-        )
+        a, b, c = quadratic(alpha, beta, theta, dt, WEIGHTS, math.cos(phi))
         if abs(a) < 1e-10:
             return
-        r1, r2 = amplification_roots(fc, phi)
+        r1, r2 = amplification_roots(a, b, c)
         scale = max(1.0, abs(b / a), abs(c / a))
         assert abs(r1 * r2 - c / a) <= 1e-9 * scale
         assert abs(r1 + r2 - b / a) <= 1e-9 * scale
 
 
 class TestRouthHurwitz:
-    def test_triple_matches_quadratic(self):
-        fc = fourier_coefficients(4.0, 2.0, 0.5, 0.1, WEIGHTS)
-        phi = 1.3
-        a = fc.w2 + 2 * fc.w1 * math.cos(phi)
-        b = fc.w4 + 2 * fc.w3 * math.cos(phi)
-        c = fc.a2 + 2 * fc.a1 * math.cos(phi)
-        assert routh_hurwitz_conditions(fc, phi) == pytest.approx(
-            (a + b + c, a - c, a - b + c)
-        )
-
     def test_pi_mode_rh3_ignores_damping_and_theta(self):
         # at phi = pi the alpha and theta terms cancel out of A - B + C,
         # leaving k^2 [beta^2 (a2 - 2 a1) - (a6 - 2 a5)]
         k = 0.07
         expected = None
         for alpha, theta in [(0.0, 0.5), (4.0, 0.5), (4.0, 1.0), (9.0, 0.75)]:
-            fc = fourier_coefficients(alpha, 2.0, theta, k, WEIGHTS)
-            rh3 = routh_hurwitz_conditions(fc, math.pi)[2]
+            rh3 = stability_scan(alpha, 2.0, theta, k, MESH).rh_conditions[2]
             if expected is None:
                 expected = rh3
             assert rh3 == pytest.approx(expected, rel=1e-12)
@@ -157,12 +79,22 @@ class TestRouthHurwitz:
 
 
 class TestScan:
+    def test_zero_step_collapses_to_identity_mode(self):
+        # with k = 0 every mode has the double root 1
+        report = stability_scan(3.0, 2.0, 0.5, 0.0, MESH)
+        assert report.max_amplification == 1.0
+        assert report.rh_conditions[1] == 0.0
+        assert report.rh_conditions[2] == 0.0
+        assert report.rh_conditions[0] >= 0.0
+        assert report.stable
+
     def test_scan_agrees_with_scalar_roots(self):
         report = stability_scan(4.0, 2.0, 0.5, 0.05, MESH)
-        fc = fourier_coefficients(4.0, 2.0, 0.5, 0.05, WEIGHTS)
+        cos = np.cos(np.linspace(0.0, math.pi, 181))
+        a, b, c = quadratic(4.0, 2.0, 0.5, 0.05, WEIGHTS, cos)
         worst = max(
-            max(abs(r) for r in amplification_roots(fc, float(phi)))
-            for phi in np.linspace(0.0, math.pi, 181)
+            max(abs(r) for r in amplification_roots(*abc))
+            for abc in zip(a.tolist(), b.tolist(), c.tolist())
         )
         assert report.max_amplification == pytest.approx(worst, rel=1e-12)
         assert 0.0 <= report.worst_phi <= math.pi
@@ -211,16 +143,16 @@ def reference_amplification(a, b, c):
 
 def reference_scan(alpha, beta, theta, dt, mesh, phi_samples):
     """One theta, one phi at a time, in Python floats."""
-    fc = fourier_coefficients(alpha, beta, theta, dt, basis_weights(mesh))
+    weights = basis_weights(mesh)
+    a1, a2 = weights.a1, weights.a2
+    w1, w2, w3, w4 = scheme_stencil(alpha, beta, theta, dt, weights)
     phis = np.linspace(0.0, math.pi, phi_samples)
     amps = [
-        reference_amplification(
-            fc.w2 + 2.0 * fc.w1 * cos, fc.w4 + 2.0 * fc.w3 * cos, fc.a2 + 2.0 * fc.a1 * cos
-        )
+        reference_amplification(w2 + 2.0 * w1 * cos, w4 + 2.0 * w3 * cos, a2 + 2.0 * a1 * cos)
         for cos in np.cos(phis).tolist()
     ]
     worst = max(range(phi_samples), key=amps.__getitem__)  # first maximum
-    a, b, c = fc.w2 - 2.0 * fc.w1, fc.w4 - 2.0 * fc.w3, fc.a2 - 2.0 * fc.a1
+    a, b, c = w2 - 2.0 * w1, w4 - 2.0 * w3, a2 - 2.0 * a1
     return amps[worst], float(phis[worst]), (a + b + c, a - c, a - b + c)
 
 
@@ -248,8 +180,8 @@ class TestSweep:
             assert reports[i].worst_phi == worst_phi
             assert reports[i].rh_conditions == rh
             assert reports[i].stable == (max_amp <= 1.0 + 1e-12)
-            fc = fourier_coefficients(alpha, beta, theta, dt, WEIGHTS)
-            root_max = max(abs(r) for r in amplification_roots(fc, worst_phi))
+            abc = quadratic(alpha, beta, theta, dt, WEIGHTS, math.cos(worst_phi))
+            root_max = max(abs(r) for r in amplification_roots(*abc))
             assert abs(max_amp - root_max) <= 1e-12
 
     def test_grid_branches_match_the_scalar_formulas(self):
@@ -272,13 +204,8 @@ class TestSweep:
             )
         )
         cos = np.cos(np.linspace(0.0, math.pi, 181))
+        grid = _max_amplification(w2 + 2.0 * w1 * cos, w4 + 2.0 * w3 * cos, a2 + 2.0 * a1 * cos)
         for row in range(len(w1)):
-            fc = FourierCoefficients(
-                w1=w1[row : row + 1], w2=w2[row : row + 1],
-                w3=w3[row : row + 1], w4=w4[row : row + 1],
-                a1=float(a1[row, 0]), a2=float(a2[row, 0]),
-            )
-            grid = _max_amplification_grid(fc, cos)[0]
             expected = [
                 reference_amplification(
                     float(w2[row, 0] + 2.0 * w1[row, 0] * x),
@@ -287,7 +214,7 @@ class TestSweep:
                 )
                 for x in cos
             ]
-            assert grid.tolist() == expected, row
+            assert grid[row].tolist() == expected, row
 
     def test_ties_report_the_first_maximum(self):
         # with dt = 0 every mode has the double root 1, so all phi tie
@@ -307,6 +234,19 @@ class TestSweep:
     def test_non_finite_coefficients_name_dt(self, dt):
         with pytest.raises(ValueError, match="dt"):
             stability_sweep(1.0, 1.0, [0.0, 0.5, 1.0], dt, MESH)
+
+    def test_validation_reports_the_first_bad_input(self):
+        # alpha and beta, then theta, then dt, then the stencil w1..w4
+        with pytest.raises(ValueError, match="alpha and beta must be nonnegative"):
+            stability_sweep(-1.0, 2.0, [1.5], -0.1, MESH)
+        with pytest.raises(ValueError, match="alpha and beta must be nonnegative"):
+            stability_sweep(1.0, -2.0, [0.5], 0.1, MESH)
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\], got 1.5"):
+            stability_sweep(1.0, 2.0, [1.5], -0.1, MESH)
+        with pytest.raises(ValueError, match="dt must be nonnegative, got -0.1"):
+            stability_sweep(1.0, 2.0, [0.5], -0.1, MESH)
+        with pytest.raises(ValueError, match="non-finite Fourier coefficients w1..w4"):
+            stability_sweep(1.0, 2.0, [0.5], 1e160, MESH)
 
     def test_sweep_validation(self):
         with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\], got 1.5"):
@@ -332,28 +272,28 @@ def assert_reports_equal(reports, expected):
 
 
 @pytest.fixture
-def grid_calls(monkeypatch):
-    """(theta rows, phi columns) of every call of the grid kernel."""
+def kernel_calls(monkeypatch):
+    """The broadcast (theta rows, phi columns) shape of every kernel call."""
     calls = []
 
-    def counted(fc, cos):
-        calls.append((np.size(fc.w1), np.size(cos)))
-        return _max_amplification_grid(fc, cos)
+    def counted(a, b, c):
+        calls.append(np.broadcast(a, b, c).shape)
+        return _max_amplification(a, b, c)
 
-    monkeypatch.setattr(stability, "_max_amplification_grid", counted)
+    monkeypatch.setattr(stability, "_max_amplification", counted)
     return calls
 
 
 def lead_zero(alpha, beta, theta, dt, mesh):
     """The phi in [0, pi] where the lead A = w2 + 2 w1 cos(phi) vanishes, or
     None when A keeps one strict sign there (A is affine in cos(phi))."""
-    fc = fourier_coefficients(alpha, beta, theta, dt, basis_weights(mesh))
-    ends = (fc.w2 + 2.0 * fc.w1, fc.w2 - 2.0 * fc.w1)
+    w1, w2, _, _ = scheme_stencil(alpha, beta, theta, dt, basis_weights(mesh))
+    ends = (w2 + 2.0 * w1, w2 - 2.0 * w1)
     if min(ends) > 0.0 or max(ends) < 0.0:
         return None
-    if fc.w1 == 0.0:
+    if w1 == 0.0:
         return 0.0
-    return math.acos(min(1.0, max(-1.0, -fc.w2 / (2.0 * fc.w1))))
+    return math.acos(min(1.0, max(-1.0, -w2 / (2.0 * w1))))
 
 
 # cell widths on both sides of 2 pi / 3, where the scheme's lead first
@@ -457,15 +397,13 @@ class TestBandedSweep:
         # cos(phi).  Below h = 2 pi / 3 the weights keep A > 0; above it A
         # changes sign on every row, which then reads unbounded
         weights = basis_weights(UniformMesh(0.0, 3 * cell, 3))
-        try:
-            fc = fourier_coefficients(alpha, beta, theta, dt, weights)
-        except ValueError:
-            assume(False)
+        w1, w2, w3, w4 = scheme_stencil(alpha, beta, theta, dt, weights)
+        assume(np.isfinite([w1, w2, w3, w4]).all())
         if cell < 2.0 * math.pi / 3.0:
-            assert fc.w2 + 2.0 * fc.w1 > 0.0
-            assert fc.w2 - 2.0 * fc.w1 > 0.0
+            assert w2 + 2.0 * w1 > 0.0
+            assert w2 - 2.0 * w1 > 0.0
         else:
-            assert fc.w2 + 2.0 * fc.w1 < 0.0 < fc.w2 - 2.0 * fc.w1
+            assert w2 + 2.0 * w1 < 0.0 < w2 - 2.0 * w1
             report = stability_scan(alpha, beta, theta, dt, UniformMesh(0.0, 3 * cell, 3))
             assert report.max_amplification == math.inf and not report.stable
 
@@ -497,8 +435,8 @@ class TestBandedSweep:
             assert report.worst_phi in (0.0, math.pi)
             assert report.stable
 
-    def test_benchmark_sweep_skips_most_of_the_grid(self, grid_calls):
+    def test_benchmark_sweep_skips_most_of_the_grid(self, kernel_calls):
         # one kernel call on the two end columns
         mesh = UniformMesh(0.0, math.pi, 1000)
         stability_sweep(*SEED_301, np.linspace(0.0, 1.0, 5001), 1e-3, mesh)
-        assert grid_calls == [(5001, 2)]
+        assert kernel_calls == [(5001, 2)]
