@@ -24,7 +24,7 @@ s_m = sin((u - m h)/2), which is xi(x_{c+m}) and -zeta(x_{c+m}),
     TB_c     * omega = s_0^3
 
 for any u, not only inside the cell.  One kernel evaluates these four on an
-array of offsets; every off-knot evaluation in this module goes through it.
+array of offsets; :func:`evaluate_solution`, the only off-knot evaluator, uses it.
 
 At the five knots of its support the triple (value, first, second derivative)
 takes the tabulated weights
@@ -108,15 +108,6 @@ class BasisWeights:
     a4: float
     a5: float
     a6: float
-
-
-@dataclass(frozen=True)
-class BasisValue:
-    """Value and first two derivatives of one basis function at one point."""
-
-    value: float
-    d1: float
-    d2: float
 
 
 def _require_nondegenerate(mesh: UniformMesh) -> None:
@@ -226,34 +217,6 @@ def _cell_basis(u, mesh: UniformMesh) -> np.ndarray:
     )
     omega = math.sin(h / 2) * math.sin(h) * math.sin(3 * h / 2)
     return np.stack(columns, axis=-1) / omega
-
-
-def _branch_values(i: int, branch: int, x: float, mesh: UniformMesh) -> BasisValue:
-    """Evaluate one branch formula of TB_i, regardless of where x lies."""
-    if branch not in (0, 1, 2, 3):
-        raise ValueError(f"branch index must be 0..3, got {branch}")
-    # branch j of TB_i is the formula of TB_{c-(3-j)} on cell c = i + j
-    value, d1, d2 = _cell_basis(x - mesh.knot(i + branch), mesh)[:, 3 - branch]
-    return BasisValue(float(value), float(d1), float(d2))
-
-
-def eval_basis_all(i: int, x: float, mesh: UniformMesh) -> BasisValue:
-    """Value, d1 and d2 of TB_i at x; zero triple outside the support."""
-    _require_nondegenerate(mesh)
-    t0 = mesh.knot(i)
-    if x < t0 or x > mesh.knot(i + 4):
-        return BasisValue(0.0, 0.0, 0.0)
-    # a point sitting exactly on an interior knot belongs to the left branch
-    branch = sum(x > mesh.knot(i + j) for j in (1, 2, 3))
-    return _branch_values(i, branch, x, mesh)
-
-
-def eval_basis(i: int, x: float, mesh: UniformMesh, derivative_order: int = 0) -> float:
-    """Evaluate TB_i or one of its first two derivatives at x."""
-    if derivative_order not in (0, 1, 2):
-        raise ValueError(f"derivative_order must be 0, 1 or 2, got {derivative_order}")
-    triple = eval_basis_all(i, x, mesh)
-    return (triple.value, triple.d1, triple.d2)[derivative_order]
 
 
 def evaluate_solution(coeffs, x, mesh: UniformMesh, derivative_order: int = 0):

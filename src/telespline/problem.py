@@ -90,6 +90,8 @@ class TelegraphProblem:
                 f"damping and restoring coefficients must be nonnegative, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if self.exact is not None:
             # the exact solution must restrict to the initial profile at t = 0
             x = a + (b - a) * np.arange(_PROBE_POINTS) / (_PROBE_POINTS - 1)

@@ -18,8 +18,9 @@ collocation row touch exactly three consecutive coefficients, so together
 with one boundary row at each end the update is a corner-tridiagonal solve.
 
 The missing level at start-up is removed with the ghost identity
-U^{-1} = U^1 - 2 k g2(x): the first step gains +1 on the a-weight part of
-the diagonal and +2 k g2(x_i) on the right-hand side.
+U^{-1} = U^1 - 2 k g2(x): its U^1 part gives the first step's matrix +1 on
+the a-weight part of the diagonal, and its -2 k g2(x_i) is the first step's
+U^{j-1} data, so every step builds its right-hand side the same way.
 
 The initial coefficient vector interpolates g1 at all knots and matches
 g1' at both ends (for either boundary kind), which closes the system.
@@ -205,14 +206,13 @@ def _step_rhs(
     w: BasisWeights,
     knots: np.ndarray,
     current: CoefficientFrame,
-    u_prev: np.ndarray | None,
+    u_prev: np.ndarray,
     t_j: float,
-    first_step: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The step's right-hand side (collocation rows, then the boundary rows)
     and U^j at the knots, which the next step takes as its ``u_prev``.
 
-    ``u_prev`` is U^{j-1} at the knots; the first step ignores it.
+    ``u_prev`` is U^{j-1} at the knots: -2 k g2 on the first step.
     """
     k = params.dt
     theta = params.theta
@@ -226,8 +226,7 @@ def _step_rhs(
         q_next = sample(problem.forcing, knots, t_j + k)
         q_vals = theta * q_next + (1.0 - theta) * sample(problem.forcing, knots, t_j)
 
-    # w3 S + w4 M + k^2 q, then - U^{j-1} (or the ghost level's + 2 k g2),
-    # summed left to right; q may be read-only
+    # w3 S + w4 M + k^2 q - U^{j-1}, summed left to right; q may be read-only
     rhs = np.empty(coeffs.size)
     rhs_mid = rhs[1:-1]
     side = np.add(coeffs[:-2], coeffs[2:])
@@ -236,11 +235,7 @@ def _step_rhs(
     np.add(rhs_mid, scratch, out=rhs_mid)
     np.multiply(q_vals, k * k, out=scratch)
     np.add(rhs_mid, scratch, out=rhs_mid)
-    if first_step:
-        np.multiply(sample(problem.initial_velocity, knots), 2.0 * k, out=scratch)
-        np.add(rhs_mid, scratch, out=rhs_mid)
-    else:
-        np.subtract(rhs_mid, u_prev, out=rhs_mid)
+    np.subtract(rhs_mid, u_prev, out=rhs_mid)
     # U^j = a1 S + a2 M in the buffer of S; :func:`assemble_step` repeats it
     u_now = np.multiply(side, w.a1, out=side)
     np.multiply(middle, w.a2, out=scratch)
@@ -269,10 +264,13 @@ def assemble_step(
     w = basis_weights(mesh)
     stencil = scheme_stencil(problem.alpha, problem.beta, params.theta, params.dt, w, first_step)
     matrix = _collocation_matrix(w, mesh.n_cells, *stencil[:2], problem.boundary.kind)
+    knots = mesh.knots()
     old = previous.values
-    # U^{j-1} with the arithmetic of :func:`run`, which takes it from _step_rhs
-    u_prev = None if first_step else w.a1 * (old[:-2] + old[2:]) + w.a2 * old[1:-1]
-    rhs, _ = _step_rhs(problem, params, stencil, w, mesh.knots(), current, u_prev, t_j, first_step)
+    if first_step:  # U^{j-1} as :func:`run` forms it: the ghost level, then _step_rhs's U^j
+        u_prev = sample(problem.initial_velocity, knots) * (-2.0 * params.dt)
+    else:
+        u_prev = w.a1 * (old[:-2] + old[2:]) + w.a2 * old[1:-1]
+    rhs, _ = _step_rhs(problem, params, stencil, w, knots, current, u_prev, t_j)
     return replace(matrix, rhs=rhs)
 
 
@@ -363,17 +361,16 @@ def run(
         seconds.append(0.0)
 
     current = frame0
-    u_prev = None
+    u_prev = sample(problem.initial_velocity, knots) * (-2.0 * params.dt)  # the ghost level
     factor = None
     for j in range(last):
         tic = _time.perf_counter()
-        first_step = j == 0
         if j < 2:
             # step 0 has its own matrix and every later step shares one; the
             # first-step factor is released before the second is built
             factor = None
             stencil = scheme_stencil(
-                problem.alpha, problem.beta, params.theta, params.dt, w, first_step
+                problem.alpha, problem.beta, params.theta, params.dt, w, j == 0
             )
             try:
                 factor = CornerTridiagonalFactor(
@@ -385,9 +382,7 @@ def run(
                 raise
         t_j = j * params.dt
         t_next = t_j + params.dt
-        rhs, u_prev = _step_rhs(
-            problem, params, stencil, w, knots, current, u_prev, t_j, first_step
-        )
+        rhs, u_prev = _step_rhs(problem, params, stencil, w, knots, current, u_prev, t_j)
         try:
             values = factor.solve(rhs)
         except ValueError as exc:

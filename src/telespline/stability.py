@@ -98,13 +98,15 @@ def sweep_columns(
     ``max_amplification``, ``worst_phi``, the three Routh-Hurwitz values
     and ``stable``, each a list.
 
-    Raises ``ValueError`` for a negative alpha or beta, a theta outside
-    [0, 1], a negative dt, or a dt whose stencil w1..w4 is not finite.
+    Raises ``ValueError`` for a negative or infinite alpha or beta, a theta
+    outside [0, 1], a negative dt, or a dt whose stencil w1..w4 is not finite.
     """
     column = np.asarray(thetas, dtype=float).reshape(-1, 1)
     weights = basis_weights(mesh)
     if not (alpha >= 0 and beta >= 0):
         raise ValueError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
     outside = column[~((column >= 0.0) & (column <= 1.0))]
     if outside.size:
         raise ValueError(f"theta must lie in [0, 1], got {outside[0]}")

@@ -5,30 +5,30 @@ corner-tridiagonal system, a dense Gaussian-elimination solver, the plain
 pivot sweep that marches every row, without the fixed-point exit of
 :func:`telespline.linalg._pivot_sweep`, the factor solve that forms every
 doubling level in full on each call, which the factor's prebuilt plan must
-match bit for bit, the scalar spline evaluator that picks each basis
-function's branch on absolute knots, which the cell kernel of
-:mod:`telespline.basis` must match to rounding, and the per-cell output
-writer that the CLI's frame templates must match byte for byte, the
-amplification quadratic's A, B and C at any mode angle, formed from
-:func:`telespline.basis.scheme_stencil` in the library's operation order,
-the scalar root solver of that quadratic, which the element-wise kernel of
-:mod:`telespline.stability` mirrors, and the stability sweep that runs that
-kernel on every (theta, phi) pair of a phi grid: with the two samples
-phi = 0 and phi = pi it must equal the two-end sweep of
-:mod:`telespline.stability` bit for bit, and a finer grid, which holds both
-ends, can only read a larger maximum, and the reference stepper whose
-right-hand side evaluates the spline at the knots twice per step, which
-the fused stencil of :mod:`telespline.solver` must match to rounding.
+match bit for bit, the scalar spline evaluator, the tests' one way to
+evaluate a single basis function, which picks each branch on absolute knots
+and which the cell kernel of :mod:`telespline.basis` must match to rounding,
+and the per-cell output writer that the CLI's frame templates must match
+byte for byte, the amplification quadratic's A, B and C at any mode angle,
+formed from :func:`telespline.basis.scheme_stencil` in the library's
+operation order, the scalar root solver of that quadratic, which the
+element-wise kernel of :mod:`telespline.stability` mirrors, and the
+stability sweep that runs that kernel on every (theta, phi) pair of a phi
+grid: with the two samples phi = 0 and phi = pi it must equal the two-end
+sweep of :mod:`telespline.stability` bit for bit, and a finer grid, which
+holds both ends, can only read a larger maximum, and the reference stepper
+whose right-hand side evaluates the spline at the knots twice per step,
+which the fused stencil of :mod:`telespline.solver` must match to rounding.
 """
 
 import cmath
 import math
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
 from telespline.basis import (
-    BasisValue,
     UniformMesh,
     _require_nondegenerate,
     basis_weights,
@@ -180,6 +180,14 @@ def _add(*terms: tuple[float, float, float]) -> tuple[float, float, float]:
         sum(t[1] for t in terms),
         sum(t[2] for t in terms),
     )
+
+
+class BasisValue(NamedTuple):
+    """Value and first two derivatives of one basis function at one point."""
+
+    value: float
+    d1: float
+    d2: float
 
 
 def _branch_values(i: int, branch: int, x: float, mesh: UniformMesh) -> BasisValue:

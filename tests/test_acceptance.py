@@ -12,13 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from telespline.basis import (
-    UniformMesh,
-    _branch_values,
-    basis_weights,
-    eval_basis,
-    knot_values,
-)
+from telespline.basis import UniformMesh, _cell_basis, basis_weights, knot_values
 from telespline.cli import main
 from telespline.linalg import CornerTridiagonalSystem, solve
 from telespline.metrics import error_norms
@@ -46,35 +40,32 @@ def test_criterion_01_basis_correctness():
     worst_table = worst_seam = worst_fd = 0.0
     for mesh in meshes:
         w = basis_weights(mesh)
+        # the cell kernel's TB_{c-3} .. TB_c at offsets u = x - x_c; at u = 0
+        # and u = h its columns hold TB_0 at the knots and on both sides of
+        # each seam, and TB_0's support [x_0, x_4] may leave [a, b] (n = 3)
+        ends = _cell_basis(np.array([0.0, mesh.h]), mesh)
+        # TB_{c-3} .. TB_c at x_c, then TB_{c-3} at x_{c+1}, its support's end
         rows = {
-            0: (0.0, w.a1, w.a2, w.a1, 0.0),
-            1: (0.0, w.a4, 0.0, w.a3, 0.0),
-            2: (0.0, w.a5, w.a6, w.a5, 0.0),
+            0: (w.a1, w.a2, w.a1, 0.0, 0.0),
+            1: (w.a3, 0.0, w.a4, 0.0, 0.0),
+            2: (w.a5, w.a6, w.a5, 0.0, 0.0),
         }
         for order, expected in rows.items():
-            got = [eval_basis(0, mesh.knot(j), mesh, order) for j in range(5)]
+            got = [*ends[order, 0], ends[order, 1, 0]]
             worst_table = max(worst_table, max(abs(g - e) for g, e in zip(got, expected)))
         for seam in (1, 2, 3):
-            x = mesh.knot(seam)
-            left = _branch_values(0, seam - 1, x, mesh)
-            right = _branch_values(0, seam, x, mesh)
-            worst_seam = max(
-                worst_seam,
-                abs(left.value - right.value),
-                abs(left.d1 - right.d1),
-                abs(left.d2 - right.d2),
-            )
-        delta = 1e-6 * mesh.h
-        for r in range(4):
-            x = mesh.knot(r) + 0.37 * mesh.h
-            fd1 = (eval_basis(0, x + delta, mesh) - eval_basis(0, x - delta, mesh)) / (
-                2 * delta
-            )
-            fd2 = (
-                eval_basis(0, x + delta, mesh, 1) - eval_basis(0, x - delta, mesh, 1)
-            ) / (2 * delta)
-            d1, d2 = eval_basis(0, x, mesh, 1), eval_basis(0, x, mesh, 2)
-            worst_fd = max(worst_fd, abs(fd1 - d1) / abs(d1), abs(fd2 - d2) / abs(d2))
+            # branch seam - 1 of TB_0 ends at u = h, branch seam starts at u = 0
+            left, right = ends[:, 1, 4 - seam], ends[:, 0, 3 - seam]
+            worst_seam = max(worst_seam, np.max(np.abs(left - right)))
+        # TB_0 at x_r + 0.37 h is column 3 - r: all four columns at one offset
+        u, delta = 0.37 * mesh.h, 1e-6 * mesh.h
+        (v_lo, _, v_hi), (d1_lo, d1, d1_hi), (_, d2, _) = _cell_basis(
+            np.array([u - delta, u, u + delta]), mesh
+        )
+        fd1, fd2 = (v_hi - v_lo) / (2 * delta), (d1_hi - d1_lo) / (2 * delta)
+        worst_fd = max(
+            worst_fd, np.max(np.abs(fd1 - d1) / np.abs(d1)), np.max(np.abs(fd2 - d2) / np.abs(d2))
+        )
     elapsed = time.perf_counter() - t0
     ok = worst_table < 1e-12 and worst_seam < 1e-10 and worst_fd < 1e-5 and elapsed < 1.0
     report(

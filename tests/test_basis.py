@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from telespline.basis import (
     DegenerateMeshError,
     UniformMesh,
-    _branch_values,
+    _cell_basis,
     basis_weights,
-    eval_basis,
-    eval_basis_all,
     evaluate_solution,
     knot_values,
 )
@@ -45,6 +43,26 @@ def mesh_with_h(h, n_cells=8):
 
 def as_tuple(w):
     return (w.a1, w.a2, w.a3, w.a4, w.a5, w.a6)
+
+
+def tb0_at_knots(mesh, order):
+    """TB_0 at x_0 .. x_4 from the cell kernel.
+
+    At u = 0 the kernel's columns are TB_{c-3} .. TB_c at x_c, so TB_0 at
+    x_0 .. x_3 reads them backwards; x_4 ends TB_{c-3}'s support at u = h.
+    """
+    cell = _cell_basis(np.array([0.0, mesh.h]), mesh)[order]
+    return [*cell[0, ::-1], cell[1, 0]]
+
+
+def seam_sides(mesh, seam):
+    """(value, d1, d2) of TB_0's branches on each side of knot ``seam``.
+
+    Branch seam - 1 is column 4 - seam of its cell at u = h, branch seam
+    is column 3 - seam of the next cell at u = 0.
+    """
+    cell = _cell_basis(np.array([0.0, mesh.h]), mesh)
+    return cell[:, 1, 4 - seam], cell[:, 0, 3 - seam]
 
 
 class TestWeights:
@@ -113,75 +131,78 @@ class TestKnotTable:
     @pytest.mark.parametrize("mesh", [mesh_with_h(0.5), UniformMesh(0.0, math.pi, 5)])
     def test_value_row(self, mesh):
         w = basis_weights(mesh)
-        got = [eval_basis(0, mesh.knot(j), mesh, 0) for j in range(5)]
+        got = tb0_at_knots(mesh, 0)
         assert got == pytest.approx([0.0, w.a1, w.a2, w.a1, 0.0], abs=1e-12)
 
     @pytest.mark.parametrize("mesh", [mesh_with_h(0.5), UniformMesh(0.0, math.pi, 5)])
     def test_first_derivative_row(self, mesh):
         # rises into the peak (a4 > 0 at x_{i+1}), falls after it (a3 < 0)
         w = basis_weights(mesh)
-        got = [eval_basis(0, mesh.knot(j), mesh, 1) for j in range(5)]
+        got = tb0_at_knots(mesh, 1)
         assert got == pytest.approx([0.0, w.a4, 0.0, w.a3, 0.0], abs=1e-12)
 
     @pytest.mark.parametrize("mesh", [mesh_with_h(0.5), UniformMesh(0.0, math.pi, 5)])
     def test_second_derivative_row(self, mesh):
         w = basis_weights(mesh)
-        got = [eval_basis(0, mesh.knot(j), mesh, 2) for j in range(5)]
+        got = tb0_at_knots(mesh, 2)
         assert got == pytest.approx([0.0, w.a5, w.a6, w.a5, 0.0], abs=1e-12)
+
+
+# TB_0 at x = 0.21, 0.77, 1.13 and 1.68 on h = 0.5: (offset u in the cell, column)
+FD_POINTS = ((0.21, 3), (0.27, 2), (0.13, 1), (0.18, 0))
 
 
 class TestShape:
     def test_compact_support(self):
+        # TB_2 alone, on [x_2, x_6]: zero off it, positive inside
         mesh = mesh_with_h(0.4)
-        for x in (mesh.knot(0) - 0.7, mesh.knot(4) + 1e-9, mesh.knot(6)):
-            triple = eval_basis_all(0, x, mesh)
-            assert (triple.value, triple.d1, triple.d2) == (0.0, 0.0, 0.0)
-        inside = eval_basis_all(0, mesh.knot(2) + 0.13, mesh)
-        assert inside.value > 0.0
+        unit = np.zeros(mesh.n_cells + 3)
+        unit[5] = 1.0
+        outside = [mesh.knot(2) - 0.7, mesh.knot(6) + 1e-9, mesh.knot(8)]
+        for order in (0, 1, 2):
+            assert evaluate_solution(unit, outside, mesh, order).tolist() == [0.0, 0.0, 0.0]
+        assert evaluate_solution(unit, mesh.knot(4) + 0.13, mesh) > 0.0
+        # and the kernel's first and last branches end in a zero triple
+        cell = _cell_basis(np.array([0.0, mesh.h]), mesh)
+        assert cell[:, 0, 3].tolist() == [0.0, 0.0, 0.0]
+        assert cell[:, 1, 0].tolist() == [0.0, 0.0, 0.0]
 
     def test_symmetry_about_support_centre(self):
+        # TB_i is even about x_{i+2}: column j at u mirrors column 3 - j at h - u
         mesh = mesh_with_h(0.3)
-        centre = mesh.knot(2)
-        for s in (0.05, 0.21, 0.44, 0.59):
-            left = eval_basis_all(0, centre - s, mesh)
-            right = eval_basis_all(0, centre + s, mesh)
-            assert left.value == pytest.approx(right.value, rel=1e-12)
-            assert left.d1 == pytest.approx(-right.d1, rel=1e-12, abs=1e-14)
-            assert left.d2 == pytest.approx(right.d2, rel=1e-12)
+        u = np.array([0.05, 0.21, 0.14, 0.29])
+        near, far = _cell_basis(u, mesh), _cell_basis(mesh.h - u, mesh)[..., ::-1]
+        assert near[0] == pytest.approx(far[0], rel=1e-12)
+        assert near[1] == pytest.approx(-far[1], rel=1e-12, abs=1e-14)
+        assert near[2] == pytest.approx(far[2], rel=1e-12)
 
     def test_c2_continuity_at_interior_knots(self):
         # adjacent branch formulas agree in value, d1 and d2 at the seam
         for mesh in (mesh_with_h(0.5), mesh_with_h(1.0), UniformMesh(0.0, math.pi, 5)):
             for seam in (1, 2, 3):
-                x = mesh.knot(seam)
-                left = _branch_values(0, seam - 1, x, mesh)
-                right = _branch_values(0, seam, x, mesh)
-                assert left.value == pytest.approx(right.value, abs=1e-10)
-                assert left.d1 == pytest.approx(right.d1, abs=1e-10)
-                assert left.d2 == pytest.approx(right.d2, abs=1e-10)
+                left, right = seam_sides(mesh, seam)
+                assert left == pytest.approx(right, abs=1e-10)
 
     def test_d1_matches_finite_differences(self):
         mesh = mesh_with_h(0.5)
         delta = 1e-6 * mesh.h
-        for x in (0.21, 0.77, 1.13, 1.68):
-            fd = (eval_basis(0, x + delta, mesh) - eval_basis(0, x - delta, mesh)) / (
-                2 * delta
-            )
-            assert eval_basis(0, x, mesh, 1) == pytest.approx(fd, rel=1e-5)
+        for u, column in FD_POINTS:
+            value, d1, _ = _cell_basis(np.array([u - delta, u, u + delta]), mesh)[..., column]
+            fd = (value[2] - value[0]) / (2 * delta)
+            assert d1[1] == pytest.approx(fd, rel=1e-5)
 
     def test_d2_matches_finite_differences_of_d1(self):
         mesh = mesh_with_h(0.5)
         delta = 1e-6 * mesh.h
-        for x in (0.21, 0.77, 1.13, 1.68):
-            fd = (
-                eval_basis(0, x + delta, mesh, 1) - eval_basis(0, x - delta, mesh, 1)
-            ) / (2 * delta)
-            assert eval_basis(0, x, mesh, 2) == pytest.approx(fd, rel=1e-5)
+        for u, column in FD_POINTS:
+            _, d1, d2 = _cell_basis(np.array([u - delta, u, u + delta]), mesh)[..., column]
+            fd = (d1[2] - d1[0]) / (2 * delta)
+            assert d2[1] == pytest.approx(fd, rel=1e-5)
 
     def test_bad_derivative_order(self):
         mesh = mesh_with_h(0.5)
         with pytest.raises(ValueError):
-            eval_basis(0, 0.3, mesh, 3)
+            evaluate_solution(np.zeros(mesh.n_cells + 3), 0.3, mesh, 3)
         with pytest.raises(ValueError):
             knot_values(np.zeros(mesh.n_cells + 3), basis_weights(mesh), -1)
 
@@ -193,7 +214,7 @@ class TestExpansion:
         coeffs = rng.uniform(-2.0, 2.0, mesh.n_cells + 3)
         for x in rng.uniform(0.0, 2.0, 25):
             brute = sum(
-                coeffs[i + 3] * eval_basis(i, float(x), mesh)
+                coeffs[i + 3] * oracle.eval_basis(i, float(x), mesh)
                 for i in range(-3, mesh.n_cells)
             )
             assert evaluate_solution(coeffs, float(x), mesh) == pytest.approx(
@@ -262,13 +283,9 @@ def test_seam_continuity_property(h, offset):
     except DegenerateMeshError:
         return
     for seam in (1, 2, 3):
-        x = mesh.knot(seam)
-        left = _branch_values(0, seam - 1, x, mesh)
-        right = _branch_values(0, seam, x, mesh)
-        scale = max(1.0, abs(left.d2))
-        assert abs(left.value - right.value) <= 1e-10 * scale
-        assert abs(left.d1 - right.d1) <= 1e-10 * scale
-        assert abs(left.d2 - right.d2) <= 1e-10 * scale
+        left, right = seam_sides(mesh, seam)
+        scale = max(1.0, abs(left[2]))
+        assert np.max(np.abs(left - right)) <= 1e-10 * scale
 
 
 @settings(max_examples=60, deadline=None)

@@ -709,6 +709,27 @@ class TestFailureExitCodes:
         assert out == ""
         assert err.startswith("error: non-finite entries in sub")
 
+    def test_infinite_alpha_in_config_exits_2(self, capsys, write_config):
+        # 1e400 reads as inf; before, the run failed with "non-finite entries in sub"
+        path = write_config(1, alpha="1e400")
+        code, out, err = run_cli(
+            ["solve", "--config", path, "--n", "20", "--dt", "0.01", "--t-final", "0.05"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: alpha and beta must be finite, got inf, 2.0\n"
+        )
+
+    def test_infinite_alpha_in_stability_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["stability", "--alpha", "inf", "--beta", "1", "--dt", "0.1", "--n", "20"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: alpha and beta must be finite, got inf, 1.0\n"
+
     def test_forcing_turning_non_finite_exits_2(self, capsys, write_config):
         # finite at t = 0, overflows to inf from the first step on
         path = write_config(1, q="t*1e300*1e300")

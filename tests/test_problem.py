@@ -106,6 +106,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="must be nonnegative"):
             dataclasses.replace(builtin_problem(1), alpha=alpha, beta=beta)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_coefficients_rejected(self, alpha, beta):
+        # before, run() failed later with "non-finite entries in sub"
+        message = f"^alpha and beta must be finite, got {alpha}, {beta}$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(builtin_problem(1), alpha=alpha, beta=beta)
+
     def test_exact_must_extend_initial_profile(self):
         with pytest.raises(ValueError, match="initial profile"):
             TelegraphProblem(

@@ -21,6 +21,7 @@ from telespline.problem import (
     BoundarySpec,
     TelegraphProblem,
     builtin_problem,
+    sample,
 )
 from telespline.solver import (
     CoefficientFrame,
@@ -411,11 +412,16 @@ class TestSchemeStencil:
         side = coeffs[:-2] + coeffs[2:]
         rhs, u_now = solver._step_rhs(
             p, params, stencil, w, mesh.knots(), CoefficientFrame(coeffs, 0.3),
-            np.zeros(mesh.n_cells + 1), 0.3, False,
+            np.zeros(mesh.n_cells + 1), 0.3,
         )
         assert rhs[1:-1].tobytes() == (w3 * side + w4 * coeffs[1:-1]).tobytes()
         assert u_now.tobytes() == (w.a1 * side + w.a2 * coeffs[1:-1]).tobytes()
         np.testing.assert_allclose(u_now, knot_values(coeffs, w, 0), rtol=1e-14, atol=1e-14)
+        # the first step's U^{j-1} is the ghost level's -2 k g2: the rows gain + 2 k g2
+        frame = CoefficientFrame(coeffs, 0.0)
+        first = assemble_step(p, mesh, params, frame, frame, 0.0, first_step=True)
+        ghost = sample(p.initial_velocity, mesh.knots()) * (2.0 * 0.01)
+        assert first.rhs[1:-1].tobytes() == (w3 * side + w4 * coeffs[1:-1] + ghost).tobytes()
 
 
 class TestFusedStencilDrift:

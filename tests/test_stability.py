@@ -254,6 +254,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="alpha and beta"):
             stability_sweep(math.nan, 2.0, [0.5], 0.1, MESH)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_alpha_or_beta_is_named_not_dt(self, alpha, beta):
+        # no dt makes the stencil finite, so the message must not blame dt
+        with pytest.raises(ValueError, match=f"^alpha and beta must be finite, got {alpha}, {beta}$"):
+            stability_sweep(alpha, beta, [0.5], 0.1, MESH)
+
 
 # (alpha, beta) that the benchmark's stability workload draws from seeds 301
 # (alpha > beta: real roots at phi = 0) and 7 (alpha < beta)
