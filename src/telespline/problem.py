@@ -193,8 +193,8 @@ def _problem_one() -> TelegraphProblem:
         beta=2.0,
         domain=(0.0, math.pi),
         forcing=lambda x, t: -2 * np.exp(-t) * sin_x(x),
-        initial_value=lambda x: np.sin(x),
-        initial_velocity=lambda x: -np.sin(x),
+        initial_value=sin_x,
+        initial_velocity=lambda x: -sin_x(x),
         boundary=BoundarySpec(
             BoundaryKind.DIRICHLET, lambda t: 0.0, lambda t: 0.0
         ),
@@ -252,7 +252,7 @@ def _problem_four() -> TelegraphProblem:
         domain=(0.0, 1.0),
         forcing=lambda x, t: -12 * np.sin(t) * sin_x(x)
         + 4 * np.cos(t) * sin_x(x),
-        initial_value=lambda x: np.sin(x),
+        initial_value=sin_x,
         initial_velocity=lambda x: 0.0,
         boundary=BoundarySpec(
             BoundaryKind.DIRICHLET,
@@ -272,8 +272,8 @@ def _problem_five() -> TelegraphProblem:
         beta=2.0,
         domain=(0.0, 2 * math.pi),
         forcing=lambda x, t: -2 * np.exp(-t) * sin_x(x),
-        initial_value=lambda x: np.sin(x),
-        initial_velocity=lambda x: -np.sin(x),
+        initial_value=sin_x,
+        initial_velocity=lambda x: -sin_x(x),
         boundary=BoundarySpec(
             BoundaryKind.NEUMANN,
             lambda t: np.exp(-t),

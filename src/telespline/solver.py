@@ -27,25 +27,29 @@ g1' at both ends (for either boundary kind), which closes the system.
 
 The rows' weights come from :func:`telespline.basis.scheme_stencil`, the
 one definition the von Neumann analysis of :mod:`telespline.stability`
-also reads.  One builder, :func:`_collocation_matrix`, writes every matrix:
-the knot rows' band (lo, mid, lo) between the two boundary rows of one
-kind.  The initial fit is (a1, a2, Neumann), since its g1' end rows are the
-Neumann rows; a step is (w1, w2, the problem's kind), where lambda gains
-the ghost-level +1 on the first step.  The step matrix therefore depends on
-the step only through that +1, so :func:`run` builds and factors it twice
-per run: once for the first step and once, on the second step, for every
-later one.  Each step then builds just its right-hand side, the fused
-stencil w3 S + w4 M - U^{j-1} + k^2 q over the coefficients (S the two side
-ones, M the middle one), and solves with the kept factor
-(:class:`telespline.linalg.CornerTridiagonalFactor`, numpy only).  A step
-evaluates no spline at the knots: U^j = a1 S + a2 M, the U^{j-1} of the next
-step, comes from the same sum S.
+also reads.  One definition, :func:`_stencil`, fixes every matrix by a
+handful of scalars: the knot rows' band (lo, mid, lo) between the two
+boundary rows of one kind.  The initial fit is (a1, a2, Neumann), since its
+g1' end rows are the Neumann rows; a step is (w1, w2, the problem's kind),
+where lambda gains the ghost-level +1 on the first step.  The step matrix
+therefore depends on the step only through that +1, so :func:`run` factors
+it twice per run: once for the first step and once, on the second step, for
+every later one.  :func:`run` and the fit factor straight from those
+scalars (:meth:`telespline.linalg.CornerTridiagonalFactor.from_stencil`,
+numpy only), so a run writes no n-length band; :func:`_collocation_matrix`
+writes the band out for :func:`assemble_step`, and both give the same bits.
+Each step then builds just its right-hand side, the fused stencil
+w3 S + w4 M - U^{j-1} + k^2 q over the coefficients (S the two side ones, M
+the middle one), and solves with the kept factor.  A step evaluates no
+spline at the knots: U^j = a1 S + a2 M, the U^{j-1} of the next step, comes
+from the same sum S.
 Problem data are sampled as arrays: every data callable is called once per
 use with the whole knot array (see
 :class:`telespline.problem.TelegraphProblem`), so a step costs one forcing
 call (two with theta-blended forcing).  Every step passes the same knot
 array, so the built-in and config problems evaluate their x-only factors,
-such as sin(x), once per run.  :func:`initial_coefficients`,
+such as sin(x), once per run; the built-in problems share one sin(x) among
+g1, g2, q and the exact solution.  :func:`initial_coefficients`,
 :func:`assemble_step` and :func:`step` build the fit, a single step's system
 and its solution on their own with the same arithmetic, so they reproduce
 :func:`run` exactly.
@@ -57,7 +61,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,10 +77,19 @@ _MAX_CELL_WIDTH = 2 * math.pi / 3
 
 _FORCING_LEVELS = ("j", "theta")
 
+# most steps a run takes: beyond 2**53 the levels j * dt are no longer distinct
+_MAX_STEPS = 2**53
+
 # why every Dirichlet step matrix at theta = 0 is singular
 _EXPLICIT_DIRICHLET = (
     "at theta = 0 the Dirichlet boundary row and the collocation row at x0 are "
     "proportional, so the step matrix is singular; use theta > 0"
+)
+# the same when k^2 theta is lost beside 1 (for one, when k^2 underflows)
+_LOST_CURVATURE = (
+    "k^2 theta = {:.3g} is lost beside 1 at dt = {} and theta = {}, so as at theta = 0 "
+    "the Dirichlet boundary row and the collocation row at x0 are proportional and the "
+    "step matrix is singular; use a larger dt"
 )
 
 
@@ -105,7 +118,7 @@ class SchemeParams:
             raise ValueError(
                 f"t_final must be at least one step, got {self.t_final} < {self.dt}"
             )
-        if not math.isfinite((self.t_final + self.align_tol) / self.dt):
+        if not (self.t_final + self.align_tol) / self.dt <= _MAX_STEPS:
             raise ValueError(
                 f"t_final / dt = {self.t_final} / {self.dt} is too large to count the steps"
             )
@@ -162,25 +175,34 @@ def _end_slopes(problem: TelegraphProblem, mesh: UniformMesh) -> np.ndarray:
     return central_slope(problem.initial_value, ends, slope_step(ends))
 
 
+def _stencil(
+    w: BasisWeights, n_cells: int, lo: float, mid: float, kind: BoundaryKind
+) -> tuple[int, float, float, tuple[float, float, float], tuple[float, float, float]]:
+    """The band of every system in this module, as the scalars that fix it:
+    (n, lo, mid, first row, last row), the arguments of
+    :meth:`CornerTridiagonalFactor.from_stencil`.
+
+    Each knot's row is ``lo, mid, lo`` on its three coefficients; the first
+    and last rows are the boundary rows of ``kind``, each in column order:
+    U at the ends for Dirichlet, U_x (the same rows as the fit's g1' rows)
+    for Neumann.
+    """
+    row = (w.a1, w.a2, w.a1) if kind is BoundaryKind.DIRICHLET else (w.a3, 0.0, w.a4)
+    return n_cells + 3, lo, mid, row, row
+
+
 def _collocation_matrix(
     w: BasisWeights, n_cells: int, lo: float, mid: float, kind: BoundaryKind
 ) -> CornerTridiagonalSystem:
-    """The band of every system in this module, with a zero right-hand side.
-
-    Each knot's row is ``lo, mid, lo`` on its three coefficients; the first
-    and last rows are the boundary rows of ``kind``: U at the ends for
-    Dirichlet, U_x (the same rows as the fit's g1' rows) for Neumann.
-    """
-    n = n_cells + 3
+    """:func:`_stencil`'s band written out, with a zero right-hand side."""
+    n, lo, mid, (d0, sup0, corner_top), (corner_bottom, sub_last, dn) = _stencil(
+        w, n_cells, lo, mid, kind
+    )
     sub = np.full(n - 1, lo)
     diag = np.full(n, mid)
     sup = np.full(n - 1, lo)
-    if kind is BoundaryKind.DIRICHLET:
-        diag[0], sup[0], corner_top = w.a1, w.a2, w.a1
-        corner_bottom, sub[n - 2], diag[n - 1] = w.a1, w.a2, w.a1
-    else:
-        diag[0], sup[0], corner_top = w.a3, 0.0, w.a4
-        corner_bottom, sub[n - 2], diag[n - 1] = w.a3, 0.0, w.a4
+    diag[0], sup[0] = d0, sup0
+    sub[n - 2], diag[n - 1] = sub_last, dn
     return CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, np.zeros(n))
 
 
@@ -190,8 +212,10 @@ def _fit_initial(
     rhs = np.empty(mesh.n_cells + 3)
     rhs[1:-1] = sample(problem.initial_value, knots)
     rhs[0], rhs[-1] = _end_slopes(problem, mesh)
-    matrix = _collocation_matrix(w, mesh.n_cells, w.a1, w.a2, BoundaryKind.NEUMANN)
-    return CoefficientFrame(values=solve(replace(matrix, rhs=rhs)), time=0.0)
+    factor = CornerTridiagonalFactor.from_stencil(
+        *_stencil(w, mesh.n_cells, w.a1, w.a2, BoundaryKind.NEUMANN)
+    )
+    return CoefficientFrame(values=factor.solve(rhs), time=0.0)
 
 
 def initial_coefficients(problem: TelegraphProblem, mesh: UniformMesh) -> CoefficientFrame:
@@ -288,6 +312,20 @@ def step(
     return CoefficientFrame(values=solve(system), time=t_j + params.dt)
 
 
+def _singular_reason(problem: TelegraphProblem, params: SchemeParams) -> Optional[str]:
+    """Why a step matrix of ``problem`` is singular, where the cause is known:
+    on Dirichlet ends, the rows at x0 are proportional at theta = 0 and
+    wherever k^2 theta is lost beside 1."""
+    if problem.boundary.kind is not BoundaryKind.DIRICHLET:
+        return None
+    if params.theta == 0:
+        return _EXPLICIT_DIRICHLET
+    curvature = params.dt * params.dt * params.theta
+    if 1.0 + curvature == 1.0:
+        return _LOST_CURVATURE.format(curvature, params.dt, params.theta)
+    return None
+
+
 def output_steps(times: Sequence[float], params: SchemeParams) -> list[int]:
     """The step index j of each output time t = j * dt.
 
@@ -373,13 +411,14 @@ def run(
                 problem.alpha, problem.beta, params.theta, params.dt, w, j == 0
             )
             try:
-                factor = CornerTridiagonalFactor(
-                    _collocation_matrix(w, mesh.n_cells, *stencil[:2], problem.boundary.kind)
+                factor = CornerTridiagonalFactor.from_stencil(
+                    *_stencil(w, mesh.n_cells, *stencil[:2], problem.boundary.kind)
                 )
             except SingularSystemError as exc:
-                if params.theta == 0 and problem.boundary.kind is BoundaryKind.DIRICHLET:
-                    raise SingularSystemError(exc.row, exc.pivot, _EXPLICIT_DIRICHLET) from exc
-                raise
+                reason = _singular_reason(problem, params)
+                if reason is None:
+                    raise
+                raise SingularSystemError(exc.row, exc.pivot, reason) from exc
         t_j = j * params.dt
         t_next = t_j + params.dt
         rhs, u_prev = _step_rhs(problem, params, stencil, w, knots, current, u_prev, t_j)

@@ -3,7 +3,9 @@
 None of this is used by the library itself: a dense matrix view of a
 corner-tridiagonal system, a dense Gaussian-elimination solver, the plain
 pivot sweep that marches every row, without the fixed-point exit of
-:func:`telespline.linalg._pivot_sweep`, the factor solve that forms every
+:func:`telespline.linalg._pivot_sweep`, also as a drop-in for it on the
+factor's cut blocks, and the factor's pivots and multipliers written out in
+full from it, the factor solve that forms every
 doubling level in full on each call, which the factor's prebuilt plan must
 match bit for bit, the scalar spline evaluator, the tests' one way to
 evaluate a single basis function, which picks each branch on absolute knots
@@ -115,6 +117,22 @@ def plain_pivot_sweep(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.
     return pivots
 
 
+def plain_cut_sweep(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, extra: int):
+    """:func:`plain_pivot_sweep` in place of the library's sweep, on a block
+    in its cut form, where row 2 stands for 1 + ``extra`` equal rows.
+
+    The block is written out in full and every row marched.  The row it
+    returns with the pivots is the last one, so the factor takes no
+    multiplier as constant and keeps every one of them explicit.
+    """
+    counts = np.ones(diag.size, dtype=int)
+    counts[2:3] += extra
+    pivots = plain_pivot_sweep(
+        np.repeat(sub, counts[1:]), np.repeat(diag, counts), np.repeat(sup, counts[1:])
+    )
+    return pivots, pivots.size - 1
+
+
 def doubling_depth(multipliers: np.ndarray) -> int:
     """How many doubling levels have a coefficient of at least 2**-60, with
     every level formed over the full multiplier array."""
@@ -126,21 +144,54 @@ def doubling_depth(multipliers: np.ndarray) -> int:
     return depth
 
 
+def expand(multipliers) -> np.ndarray:
+    """The full multiplier array of the factor's run-length form
+    (head, rho, length, tail)."""
+    head, rho, length, tail = multipliers
+    return np.concatenate((head, np.full(length, rho), tail))
+
+
+def reference_factor(system: CornerTridiagonalSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pivots and the forward and back multipliers of ``system``'s
+    factor as full arrays, with every row marched by
+    :func:`plain_pivot_sweep`.  The corners are condensed with the
+    library's arithmetic, and the boundary rows' pivots are checked first,
+    so errors come in the library's row order."""
+    n = system.n
+    sub, diag, sup = system.sub, system.diag, system.sup
+    d0, dn = float(diag[0]), float(diag[n - 1])
+    if abs(d0) < _PIVOT_FLOOR:
+        raise SingularSystemError(0, d0)
+    if abs(dn) < _PIVOT_FLOOR:
+        raise SingularSystemError(n - 1, dn)
+    fold_top, fold_bottom = sub[0] / d0, sup[n - 2] / dn
+    inner_diag = diag[1 : n - 1].copy()
+    inner_diag[0] -= fold_top * sup[0]
+    inner_diag[-1] -= fold_bottom * sub[n - 2]
+    inner_sup = sup[1 : n - 2].copy()
+    inner_sup[0] -= fold_top * system.corner_top
+    inner_sub = sub[1 : n - 2].copy()
+    inner_sub[-1] -= fold_bottom * system.corner_bottom
+    pivots = plain_pivot_sweep(inner_sub, inner_diag, inner_sup)
+    return pivots, -inner_sub / pivots[1:], -inner_sup / pivots[:-1]
+
+
 def reference_solve(factor: CornerTridiagonalFactor, rhs) -> tuple[np.ndarray, tuple[int, int]]:
     """The solution for ``rhs`` and the (forward, back) level counts, from
     ``factor``'s pivots and multipliers, with each level's products formed
     in full on every call."""
     rhs = np.asarray(rhs, dtype=float)
-    levels = (doubling_depth(factor._forward), doubling_depth(factor._backward))
+    forward, backward = expand(factor._forward), expand(factor._backward)
+    levels = (doubling_depth(forward), doubling_depth(backward))
     x = np.empty(factor.n)
     inner = x[1:-1]
     inner[:] = rhs[1:-1]
     inner[0] -= factor._fold_top * rhs[0]
     inner[-1] -= factor._fold_bottom * rhs[-1]
     inner /= factor._pivots
-    for shift, coefficients in islice(_doubling_levels(factor._forward), levels[0]):
+    for shift, coefficients in islice(_doubling_levels(forward), levels[0]):
         inner[shift:] += coefficients * inner[:-shift]
-    for shift, coefficients in islice(_doubling_levels(factor._backward), levels[1]):
+    for shift, coefficients in islice(_doubling_levels(backward), levels[1]):
         inner[:-shift] += coefficients * inner[shift:]
     d0, sup0, corner_top = factor._first_row
     corner_bottom, sub_last, dn = factor._last_row

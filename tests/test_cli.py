@@ -687,6 +687,35 @@ class TestFailureExitCodes:
         assert "row 1" in err
         assert "theta = 0" in err and "proportional" in err
 
+    def test_dirichlet_curvature_lost_beside_one_exits_3_with_its_cause(self, capsys):
+        code, out, err = run_cli(
+            ["solve", "--problem", "1", "--n", "10", "--dt", "1e-300", "--t-final", "1e-300"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: elimination broke down at row 1 (pivot 0.0): k^2 theta = 0 is lost "
+            "beside 1 at dt = 1e-300 and theta = 0.5, so as at theta = 0 the Dirichlet "
+            "boundary row and the collocation row at x0 are proportional and the step "
+            "matrix is singular; use a larger dt\n"
+        )
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_more_than_2_53_steps_exit_2_without_marching(self, capsys, monkeypatch, command):
+        from telespline import solver
+
+        def march(*args):
+            raise AssertionError("the run must be refused before it marches")
+
+        monkeypatch.setattr(solver, "run", march)
+        code, out, err = run_cli(
+            [command, "--problem", "1", "--n", "10", "--dt", "0.1", "--t-final", "1e300"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: t_final / dt = 1e+300 / 0.1 is too large to count the steps\n"
+
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_cells_wider_than_two_thirds_pi_exit_2(self, capsys, write_config, command):
         path = write_config(1, domain="0, 7.5", alpha="0", beta="0", q="0")

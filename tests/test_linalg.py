@@ -13,15 +13,24 @@ from telespline.linalg import (
     SingularSystemError,
     solve,
 )
-from telespline.problem import builtin_problem
+from telespline.problem import BoundaryKind, builtin_problem
 from telespline.solver import (
     SchemeParams,
     _collocation_matrix,
+    _stencil,
     assemble_step,
     initial_coefficients,
 )
 
-from oracle import dense, dense_solve_oracle, plain_pivot_sweep, reference_solve
+from oracle import (
+    dense,
+    dense_solve_oracle,
+    doubling_depth,
+    expand,
+    plain_pivot_sweep,
+    reference_factor,
+    reference_solve,
+)
 
 
 def random_dominant_system(rng, n):
@@ -304,23 +313,26 @@ def test_factor_reuse_matches_oracle_property(n, seed):
     assert_factor_reuse_matches_oracle(random_dominant_system(rng, n), rng)
 
 
-def factor_outcome(system, sweep=None):
-    """The factor's arrays as int64 bit patterns, or the row and pivot bits
-    of its SingularSystemError; ``sweep`` replaces the library's pivot sweep."""
-    with pytest.MonkeyPatch.context() as patch:
-        if sweep is not None:
-            patch.setattr(linalg, "_pivot_sweep", sweep)
-        try:
+def factor_outcome(system, reference=False):
+    """The factor's pivots and full multiplier arrays as int64 bit patterns,
+    with its levels, or the row and pivot bits of its SingularSystemError;
+    ``reference`` takes them from the oracle's plain sweep instead."""
+    try:
+        if reference:
+            arrays = reference_factor(system)
+            levels = tuple(doubling_depth(a) for a in arrays[1:])
+        else:
             factor = CornerTridiagonalFactor(system)
-        except SingularSystemError as exc:
-            return ("singular", exc.row, np.float64(exc.pivot).view(np.int64))
-    arrays = (factor._pivots, factor._forward, factor._backward)
-    return tuple(a.view(np.int64).tolist() for a in arrays) + (factor.levels,)
+            arrays = (factor._pivots, expand(factor._forward), expand(factor._backward))
+            levels = factor.levels
+    except SingularSystemError as exc:
+        return ("singular", exc.row, np.float64(exc.pivot).view(np.int64))
+    return tuple(a.view(np.int64).tolist() for a in arrays) + (levels,)
 
 
 def assert_sweep_matches_reference(system):
-    """The library's factor equals, bit for bit, one built on the plain sweep."""
-    want = factor_outcome(system, plain_pivot_sweep)
+    """The library's factor equals, bit for bit, the one the plain sweep gives."""
+    want = factor_outcome(system, reference=True)
     assert factor_outcome(system) == want
     return want
 
@@ -524,3 +536,112 @@ def test_stiff_plan_is_formed_in_at_most_two_passes(monkeypatch):
     factor = CornerTridiagonalFactor(step_matrix(1, 10000, 1.0, 0.1, False))
     assert factor.levels == (14, 14)
     assert passes == [2, 2]
+    # the stencil entry writes the multipliers out only for the second pass
+    passes.clear()
+    args = _stencil(*stencil_args(1, 10000, 1.0, 0.1, "later steps"))
+    factor = CornerTridiagonalFactor.from_stencil(*args)
+    assert factor.levels == (14, 14)
+    assert passes == [2, 2]
+
+
+def stencil_args(problem_id, n_cells, theta, dt, matrix):
+    """The arguments of ``_stencil`` for the initial fit or a step matrix."""
+    problem = builtin_problem(problem_id)
+    mesh = UniformMesh(problem.domain[0], problem.domain[1], n_cells)
+    w = basis_weights(mesh)
+    if matrix == "fit":
+        return w, n_cells, w.a1, w.a2, BoundaryKind.NEUMANN
+    first_step = matrix == "first step"
+    w1, w2, _, _ = scheme_stencil(problem.alpha, problem.beta, theta, dt, w, first_step)
+    return w, n_cells, w1, w2, problem.boundary.kind
+
+
+def built(make):
+    """``make()``, or the row and pivot bits of the SingularSystemError it raises."""
+    try:
+        return make()
+    except SingularSystemError as exc:
+        return ("singular", exc.row, np.float64(exc.pivot).view(np.int64))
+
+
+def assert_stencil_factor_matches_written_out_band(system, args, seed=0):
+    """The factor ``from_stencil(*args)`` solves, counts its levels and
+    fails exactly as the factor of ``system``, its band written out, does."""
+    general = built(lambda: CornerTridiagonalFactor(system))
+    compact = built(lambda: CornerTridiagonalFactor.from_stencil(*args))
+    if isinstance(general, tuple):
+        assert compact == general
+        return
+    assert compact.levels == general.levels
+    assert np.array_equal(compact._pivots.view(np.int64), general._pivots.view(np.int64))
+    for rhs in np.random.default_rng(seed).uniform(-5.0, 5.0, (3, general.n)):
+        assert np.array_equal(compact.solve(rhs).view(np.int64), general.solve(rhs).view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem_id=st.integers(1, 5),
+    n_cells=st.integers(3, 3000),
+    theta=st.floats(0.0, 1.0),
+    dt=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+    matrix=st.sampled_from(["fit", "first step", "later steps"]),
+)
+# the stiff matrices: the pivots settle after about 3200 rows and 14 levels
+# count, so the multiplier run is written out in full
+@example(problem_id=1, n_cells=10000, theta=1.0, dt=0.1, matrix="first step")
+@example(problem_id=1, n_cells=10000, theta=1.0, dt=0.1, matrix="later steps")
+@example(problem_id=1, n_cells=10000, theta=1.0, dt=0.1, matrix="fit")
+# Dirichlet at theta = 0: the zero pivot of row 1
+@example(problem_id=1, n_cells=20, theta=0.0, dt=0.01, matrix="first step")
+def test_stencil_factor_matches_written_out_band_property(problem_id, n_cells, theta, dt, matrix):
+    try:
+        args = stencil_args(problem_id, n_cells, theta, dt, matrix)
+    except DegenerateMeshError:
+        reject()  # e.g. problem 5 at 3 cells: h = 2 pi / 3 has no spline basis
+    assert_stencil_factor_matches_written_out_band(
+        _collocation_matrix(*args), _stencil(*args), n_cells
+    )
+
+
+def written_out(n, lo, mid, first_row, last_row):
+    """The system of ``from_stencil``'s arguments, every entry written out."""
+    (d0, sup0, corner_top), (corner_bottom, sub_last, dn) = first_row, last_row
+    sub, diag, sup = np.full(n - 1, lo), np.full(n, mid), np.full(n - 1, lo)
+    diag[0], sup[0], sub[-1], diag[-1] = d0, sup0, sub_last, dn
+    return CornerTridiagonalSystem(sub, diag, sup, corner_top, corner_bottom, np.zeros(n))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 40])
+def test_stencil_factor_on_small_bands(n):
+    # the four-row block is the whole interior, or a cut of it; with the
+    # last row (0, 0, dn) the fold leaves row n-2 with the interior's
+    # coefficients, so the run reaches the end
+    first, last = (4.0, 1.0, 0.5), (0.25, 1.5, 3.0)
+    cases = [(1.0, 4.0, first, last), (1.0, 2.0, first, last), (-1.0, 2.5, first, last)]
+    cases += [(0.0, 1.0, first, last), (1.0, 4.0, first, (0.0, 0.0, 3.0))]
+    for lo, mid, first_row, last_row in cases:
+        args = (n, lo, mid, first_row, last_row)
+        assert_stencil_factor_matches_written_out_band(written_out(*args), args)
+
+
+@pytest.mark.parametrize(
+    "lo, mid, row, name",
+    [
+        (np.inf, 1.0, (1.0, 0.0, 1.0), "sub"),
+        (1.0, np.nan, (1.0, 0.0, 1.0), "diag"),
+        (1.0, 4.0, (np.inf, 0.0, 1.0), "diag"),
+        (1.0, 4.0, (1.0, np.nan, 1.0), "sub"),
+        (1.0, 4.0, (1.0, 0.0, -np.inf), "diag"),
+    ],
+)
+def test_stencil_factor_names_non_finite_entries_as_the_system_does(lo, mid, row, name):
+    # ``row`` is used as the first and as the last row, as the solver does
+    with pytest.raises(ValueError, match=f"^non-finite entries in {name}$"):
+        CornerTridiagonalFactor.from_stencil(13, lo, mid, row, row)
+    with pytest.raises(ValueError, match=f"^non-finite entries in {name}$"):
+        written_out(13, lo, mid, row, row)
+
+
+def test_stencil_factor_needs_four_rows():
+    with pytest.raises(ValueError, match="at least 4 rows, got 3"):
+        CornerTridiagonalFactor.from_stencil(3, 1.0, 4.0, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from telespline.solver import (
     step,
 )
 
-from oracle import dense, plain_pivot_sweep, reference_run
+from oracle import dense, plain_cut_sweep, reference_run
 
 
 def knot_errors(frame, problem, mesh):
@@ -63,6 +64,17 @@ class TestSchemeParams:
     def test_step_count_overflow_rejected(self, dt, t_final):
         with pytest.raises(ValueError, match=f"t_final / dt = {t_final} / {dt} is too large"):
             SchemeParams(theta=0.5, dt=dt, t_final=t_final)
+
+    @pytest.mark.parametrize("dt, t_final", [(0.1, 1e300), (1.0, 2.0**54), (1e-3, 1e13)])
+    def test_more_than_2_53_steps_rejected(self, dt, t_final):
+        # the step count is finite, but past 2**53 the levels j * dt are no
+        # longer distinct floats
+        message = re.escape(f"t_final / dt = {t_final} / {dt} is too large to count the steps")
+        with pytest.raises(ValueError, match=message):
+            SchemeParams(theta=0.5, dt=dt, t_final=t_final)
+
+    def test_2_53_steps_accepted(self):
+        assert SchemeParams(theta=0.5, dt=1.0, t_final=2.0**53).last_step == 2**53
 
     @pytest.mark.parametrize("dt, tol", [(1.0, 1e-9), (1e-3, 1e-9), (1e-4, 1e-10), (1e-10, 1e-16)])
     def test_alignment_tolerance_follows_small_steps(self, dt, tol):
@@ -486,6 +498,22 @@ class TestRunContract:
         assert calls == []
         assert history.frames[0].time == pytest.approx(1.0)
 
+    def test_no_band_is_written_out(self, monkeypatch):
+        # run() factors its matrices from their stencil scalars
+        built = []
+        post_init = linalg.CornerTridiagonalSystem.__post_init__
+
+        def counted(system):
+            built.append(system.n)
+            post_init(system)
+
+        monkeypatch.setattr(linalg.CornerTridiagonalSystem, "__post_init__", counted)
+        for pid in (1, 5):
+            p = builtin_problem(pid)
+            mesh = UniformMesh(p.domain[0], p.domain[1], 20)
+            run(p, mesh, SchemeParams(theta=0.5, dt=0.01, t_final=0.05), [0.0, 0.05])
+        assert built == []
+
     def test_initial_frame_only(self):
         history = run(self.p, self.mesh, self.params, [0.0])
         assert len(history.frames) == 1
@@ -579,7 +607,7 @@ class TestRunMatchesPlainSweep:
             params = SchemeParams(theta=theta, dt=dt, t_final=steps * dt, forcing_level=level)
             fast = run(p, mesh, params, times)
             with monkeypatch.context() as patch:
-                patch.setattr(linalg, "_pivot_sweep", plain_pivot_sweep)
+                patch.setattr(linalg, "_pivot_sweep", plain_cut_sweep)
                 plain = run(p, mesh, params, times)
             for got, want in zip(fast.frames, plain.frames, strict=True):
                 assert got.time == want.time
@@ -612,6 +640,24 @@ class TestFailureClassification:
             run(p, mesh, params, [0.05])
         assert info.value.row == 1
 
+    @pytest.mark.parametrize("dt", [1e-300, 1e-10])
+    def test_dirichlet_curvature_lost_beside_one_names_its_cause(self, dt):
+        # k^2 theta underflows (1e-300) or rounds away beside 1 (1e-10), so
+        # the rows at x0 are proportional as at theta = 0
+        p = builtin_problem(1)
+        mesh = UniformMesh(0.0, math.pi, 10)
+        params = SchemeParams(theta=0.5, dt=dt, t_final=dt)
+        message = rf"row 1 .*k\^2 theta = {0.5 * dt * dt:.3g} is lost beside 1 at dt = {dt}.*proportional"
+        with pytest.raises(SingularSystemError, match=message) as info:
+            run(p, mesh, params, [dt])
+        assert info.value.row == 1
+
+    def test_neumann_takes_a_step_that_loses_the_curvature(self):
+        p = builtin_problem(5)
+        mesh = UniformMesh(p.domain[0], p.domain[1], 10)
+        history = run(p, mesh, SchemeParams(theta=0.5, dt=1e-300, t_final=1e-300), [1e-300])
+        assert np.isfinite(history.frames[0].values).all()
+
     def test_forcing_turning_non_finite_mid_run(self):
         p = builtin_problem(1)
         probe = dataclasses.replace(
@@ -637,6 +683,24 @@ class TestFailureClassification:
 
 
 class TestProblemContract:
+    @pytest.mark.parametrize("pid", [1, 4, 5])
+    def test_builtin_run_takes_the_sine_of_the_knots_once(self, pid, monkeypatch):
+        # g1, g2, q and the exact solution share one kept sin(x)
+        mesh_size = []
+        sine = np.sin
+
+        def counted(x, *args, **kwargs):
+            if isinstance(x, np.ndarray) and x.size == 17:
+                mesh_size.append(x.size)
+            return sine(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counted)
+        p = builtin_problem(pid)
+        mesh = UniformMesh(p.domain[0], p.domain[1], 16)
+        history = run(p, mesh, SchemeParams(theta=0.5, dt=0.01, t_final=0.05), [0.05])
+        error_norms(history.frames[-1], p, mesh)
+        assert mesh_size == [17]
+
     def test_run_refuses_to_march_past_the_horizon(self):
         p = builtin_problem(2)
         mesh = UniformMesh(0.0, 2.0, 10)
