@@ -29,8 +29,8 @@ def main():
     header = "          " + " ".join(f"{t:4.2f}" for t in thetas)
     print(header)
     for dt in steps:
-        reports = stability_sweep(args.alpha, args.beta, thetas, dt, mesh)
-        cells = ["  . " if report.stable else "  # " for report in reports]
+        stable = stability_sweep(args.alpha, args.beta, thetas, dt, mesh).stable
+        cells = ["  . " if s else "  # " for s in stable]
         print(f"dt={dt:<7g}" + " ".join(cells))
 
     # the boundary of exact marginal stability: theta = 1/2 with no damping

@@ -61,8 +61,8 @@ class DegenerateMeshError(ValueError):
 class UniformMesh:
     """Uniform spatial mesh with n_cells cells on [a, b].
 
-    Knot indices extend beyond the domain (three ghost knots on each side
-    are enough for every basis function overlapping [a, b]).
+    The basis functions overlapping [a, b] also reach three ghost knots
+    x_i = a + i*h beyond each end.
     """
 
     a: float
@@ -85,14 +85,8 @@ class UniformMesh:
             raise ValueError(f"cell width {h} must be below pi")
         object.__setattr__(self, "h", h)
 
-    def knot(self, i: int) -> float:
-        """Knot x_i = a + i*h; indices outside 0..n_cells are permitted."""
-        if i == self.n_cells:
-            return self.b
-        return self.a + i * self.h
-
     def knots(self) -> np.ndarray:
-        """The n_cells + 1 knots inside [a, b], equal to :meth:`knot` entry by entry."""
+        """The n_cells + 1 knots x_i = a + i*h of [a, b], with x_n = b exactly."""
         knots = self.a + self.h * np.arange(self.n_cells + 1)
         knots[-1] = self.b
         return knots

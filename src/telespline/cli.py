@@ -334,19 +334,19 @@ def cmd_bench(args: argparse.Namespace) -> None:
 
 def cmd_stability(args: argparse.Namespace) -> None:
     """Scan amplification factors for one theta or a sweep of thetas."""
-    from .stability import sweep_columns
+    from .stability import stability_sweep
 
     # without --domain, [0, pi] needs no expression parser
     domain = (0.0, math.pi) if args.domain is None else _parse_domain(args.domain, "--domain")
     mesh = UniformMesh(domain[0], domain[1], args.n)
     thetas = _parse_sweep(args.sweep) if args.sweep else [args.theta]
 
-    columns = sweep_columns(args.alpha, args.beta, thetas, args.dt, mesh)
+    sweep = stability_sweep(args.alpha, args.beta, thetas, args.dt, mesh)
     sep = _SEPARATORS[args.format]
     line = sep.join(["%.17g"] * 6 + ["%s"]) + "\n"
     lines = (
         line % (theta, peak, phi, rh1, rh2, rh3, "stable" if stable else "unstable")
-        for theta, peak, phi, rh1, rh2, rh3, stable in zip(thetas, *columns)
+        for theta, peak, phi, rh1, rh2, rh3, stable in zip(thetas, *sweep)
     )
     header = ["theta", "max_amplification", "worst_phi", "rh1", "rh2", "rh3", "verdict"]
     _emit(args.output, header, lines, sep)

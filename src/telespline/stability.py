@@ -14,8 +14,8 @@ The scheme is stable at phi when both roots satisfy |delta| <= 1.  Mapping
 delta = (1 + xi)/(1 - xi) turns that into a Routh-Hurwitz condition: the
 transformed quadratic (A+B+C) xi^2 + 2 (A-C) xi + (A-B+C) = 0 must have no
 root with positive real part, which for nonnegative coefficients is
-automatic.  Each report carries the triple (A+B+C, A-C, A-B+C) at phi = pi
-alongside the amplification maximum.
+automatic.  The sweep reports the triple (A+B+C, A-C, A-B+C) at phi = pi
+as its columns rh1, rh2 and rh3, alongside the amplification maximum.
 
 A, B and C are affine in c = cos(phi).  While A keeps one strict sign on
 [-1, 1] (negating the quadratic moves no root, so take A > 0), both roots
@@ -24,10 +24,10 @@ lie in |delta| <= r exactly when |C| <= A r^2 and A r^2 +- B r + C >= 0
 cut out an interval of c.  So the largest |delta| over [0, pi] lies at an
 end, phi = 0 or phi = pi (E. I. Jury, Theory and Application of the
 z-Transform Method, 1964; J. J. H. Miller, J. Inst. Math. Appl. 8 (1971)).
-:func:`sweep_columns` therefore forms A, B and C once per sweep, for the
+:func:`stability_sweep` therefore forms A, B and C once per sweep, for the
 whole theta column at cos(phi) = 1 and -1, and reads the amplification,
 its phi, the lead's sign and the Routh-Hurwitz triple from those two
-columns; :func:`stability_scan` is the sweep of one theta.
+columns; :func:`stability_scan` is its one row for one theta.
 
 The rule's precondition is checked on every row, and exactly: A is affine
 in c, so it keeps one strict sign on [-1, 1] exactly when its two end
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +65,18 @@ class StabilityReport:
     worst_phi: float
     rh_conditions: tuple[float, float, float]
     stable: bool
+
+
+class StabilitySweep(NamedTuple):
+    """:func:`stability_sweep`'s columns, one entry per theta, in order;
+    rh1..rh3 are the Routh-Hurwitz triple at phi = pi."""
+
+    max_amplification: list[float]
+    worst_phi: list[float]
+    rh1: list[float]
+    rh2: list[float]
+    rh3: list[float]
+    stable: list[bool]
 
 
 def _max_amplification(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -91,12 +103,21 @@ def _max_amplification(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarra
     return np.where(abs_a < _DEGENERATE_LEAD, np.inf, amp)
 
 
-def sweep_columns(
+def stability_sweep(
     alpha: float, beta: float, thetas: Sequence[float], dt: float, mesh: UniformMesh
-) -> tuple[list[float], list[float], list[float], list[float], list[float], list[bool]]:
-    """:func:`stability_sweep`'s results as columns, one entry per theta:
-    ``max_amplification``, ``worst_phi``, the three Routh-Hurwitz values
-    and ``stable``, each a list.
+) -> StabilitySweep:
+    """Evaluate phi = 0 and phi = pi for each theta: six columns, named as
+    the ``stability`` command's header, with one entry per theta in order.
+
+    ``max_amplification`` is the larger of the two ends, which is the
+    maximum over all of [0, pi] (see the module docstring), and
+    ``worst_phi`` is the end that gives it.  A tie names phi = 0; a NaN
+    amplification counts as the maximum and reads unstable.  A row whose
+    lead A vanishes on [0, pi] (every row once the cell width exceeds
+    2 pi / 3) reads ``max_amplification = inf`` at the phi where A = 0.
+    At theta = 0 with alpha < beta every phi is a complex pair with
+    |delta|^2 = 1 / (1 + 2 alpha k) exactly, so the two ends tie in exact
+    arithmetic and rounding decides which of them ``worst_phi`` names.
 
     Raises ``ValueError`` for a negative or infinite alpha or beta, a theta
     outside [0, 1], a negative dt, or a dt whose stencil w1..w4 is not finite.
@@ -136,33 +157,14 @@ def sweep_columns(
     max_amp = np.where(vanishes, np.inf, max_amp)
     worst_phi = np.where(vanishes, np.arccos(np.clip(zero, -1.0, 1.0)), _END_PHI[worst])
     stable = (max_amp <= 1.0 + _STABILITY_SLACK).tolist()
-    return (max_amp.tolist(), worst_phi.tolist(), *(r.tolist() for r in rh), stable)
-
-
-def stability_sweep(
-    alpha: float, beta: float, thetas: Sequence[float], dt: float, mesh: UniformMesh
-) -> list[StabilityReport]:
-    """Evaluate phi = 0 and phi = pi for each theta; one report per theta, in order.
-
-    ``max_amplification`` is the larger of the two ends, which is the
-    maximum over all of [0, pi] (see the module docstring), and
-    ``worst_phi`` is the end that gives it.  A tie names phi = 0; a NaN
-    amplification counts as the maximum and reads unstable.  A row whose
-    lead A vanishes on [0, pi] (every row once the cell width exceeds
-    2 pi / 3) reads ``max_amplification = inf`` at the phi where A = 0.
-    At theta = 0 with alpha < beta every phi is a complex pair with
-    |delta|^2 = 1 / (1 + 2 alpha k) exactly, so the two ends tie in exact
-    arithmetic and rounding decides which of them ``worst_phi`` names.
-    """
-    max_amp, worst_phi, rh1, rh2, rh3, stable = sweep_columns(alpha, beta, thetas, dt, mesh)
-    return [
-        StabilityReport(max_amplification=m, worst_phi=phi, rh_conditions=rh, stable=s)
-        for m, phi, rh, s in zip(max_amp, worst_phi, zip(rh1, rh2, rh3), stable)
-    ]
+    return StabilitySweep(max_amp.tolist(), worst_phi.tolist(), *(r.tolist() for r in rh), stable)
 
 
 def stability_scan(
     alpha: float, beta: float, theta: float, dt: float, mesh: UniformMesh
 ) -> StabilityReport:
-    """The worst amplification factor over phi in [0, pi] for one theta."""
-    return stability_sweep(alpha, beta, [theta], dt, mesh)[0]
+    """The worst amplification factor over phi in [0, pi] for one theta:
+    row 0 of :func:`stability_sweep` as one report."""
+    sweep = stability_sweep(alpha, beta, [theta], dt, mesh)
+    peak, phi, rh1, rh2, rh3, stable = (column[0] for column in sweep)
+    return StabilityReport(peak, phi, (rh1, rh2, rh3), stable)

@@ -9,8 +9,8 @@ full from it, the factor solve that forms every
 doubling level in full on each call, which the factor's prebuilt plan must
 match bit for bit, the scalar spline evaluator, the tests' one way to
 evaluate a single basis function, which picks each branch on absolute knots
-and which the cell kernel of :mod:`telespline.basis` must match to rounding,
-and the per-cell output writer that the CLI's frame templates must match
+x_i = a + i*h that it forms itself and which the cell kernel of
+:mod:`telespline.basis` must match to rounding, and the per-cell output writer that the CLI's frame templates must match
 byte for byte, the amplification quadratic's A, B and C at any mode angle,
 formed from :func:`telespline.basis.scheme_stencil` in the library's
 operation order, the scalar root solver of that quadratic, which the
@@ -51,7 +51,7 @@ from telespline.solver import CoefficientFrame, _collocation_matrix, _fit_initia
 from telespline.stability import (
     _DEGENERATE_LEAD,
     _STABILITY_SLACK,
-    StabilityReport,
+    StabilitySweep,
     _max_amplification,
 )
 
@@ -233,6 +233,13 @@ def _add(*terms: tuple[float, float, float]) -> tuple[float, float, float]:
     )
 
 
+def knot(mesh: UniformMesh, i: int) -> float:
+    """Knot x_i = a + i*h, with x_n = b exactly; indices outside 0..n are permitted."""
+    if i == mesh.n_cells:
+        return mesh.b
+    return mesh.a + i * mesh.h
+
+
 class BasisValue(NamedTuple):
     """Value and first two derivatives of one basis function at one point."""
 
@@ -243,7 +250,7 @@ class BasisValue(NamedTuple):
 
 def _branch_values(i: int, branch: int, x: float, mesh: UniformMesh) -> BasisValue:
     """Evaluate one branch formula of TB_i, regardless of where x lies."""
-    t = [mesh.knot(i + j) for j in range(5)]
+    t = [knot(mesh, i + j) for j in range(5)]
     if branch == 0:
         raw = _mul(_mul(_xi(x, t[0]), _xi(x, t[0])), _xi(x, t[0]))
     elif branch == 1:
@@ -270,16 +277,16 @@ def _branch_values(i: int, branch: int, x: float, mesh: UniformMesh) -> BasisVal
 def eval_basis_all(i: int, x: float, mesh: UniformMesh) -> BasisValue:
     """Value, d1 and d2 of TB_i at x; zero triple outside the support."""
     _require_nondegenerate(mesh)
-    t0 = mesh.knot(i)
-    t4 = mesh.knot(i + 4)
+    t0 = knot(mesh, i)
+    t4 = knot(mesh, i + 4)
     if x < t0 or x > t4:
         return BasisValue(0.0, 0.0, 0.0)
     # a point sitting exactly on an interior knot belongs to the left branch
-    if x <= mesh.knot(i + 1):
+    if x <= knot(mesh, i + 1):
         branch = 0
-    elif x <= mesh.knot(i + 2):
+    elif x <= knot(mesh, i + 2):
         branch = 1
-    elif x <= mesh.knot(i + 3):
+    elif x <= knot(mesh, i + 3):
         branch = 2
     else:
         branch = 3
@@ -372,13 +379,12 @@ def bench_text(problem, mesh, history, times, positions, sep: str) -> str:
     return write_rows(["t", "L2", "Linf", "RMS", "cpu_seconds"], rows, sep)
 
 
-def stability_text(thetas, reports, sep: str) -> str:
+def stability_text(thetas, sweep, sep: str) -> str:
     """What ``stability`` writes: one row per theta value."""
     rows = []
-    for theta, report in zip(thetas, reports):
-        numbers = (theta, report.max_amplification, report.worst_phi, *report.rh_conditions)
-        verdict = "stable" if report.stable else "unstable"
-        rows.append([format_cell(v) for v in numbers] + [verdict])
+    for theta, *numbers, stable in zip(thetas, *sweep):
+        verdict = "stable" if stable else "unstable"
+        rows.append([format_cell(v) for v in (theta, *numbers)] + [verdict])
     header = ["theta", "max_amplification", "worst_phi", "rh1", "rh2", "rh3", "verdict"]
     return write_rows(header, rows, sep)
 
@@ -409,7 +415,7 @@ def quadratic(alpha, beta, theta, dt, weights, cos):
 _BLOCK_POINTS = 8192
 
 
-def full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples=721) -> list[StabilityReport]:
+def full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples=721) -> StabilitySweep:
     """:func:`telespline.stability.stability_sweep` evaluating every phi of every theta.
 
     The library's kernel runs on blocks of consecutive theta rows by all
@@ -433,12 +439,11 @@ def full_grid_sweep(alpha, beta, thetas, dt, mesh, phi_samples=721) -> list[Stab
 
     a, b, c = quadratic(alpha, beta, column[:, 0], dt, weights, -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        rh1, rh2, rh3 = (r.tolist() for r in (a + b + c, a - c, a - b + c))
+        rh = (a + b + c, a - c, a - b + c)
     stable = (max_amp <= 1.0 + _STABILITY_SLACK).tolist()
-    return [
-        StabilityReport(max_amplification=m, worst_phi=phi, rh_conditions=rh, stable=s)
-        for m, phi, rh, s in zip(max_amp.tolist(), phis[worst].tolist(), zip(rh1, rh2, rh3), stable)
-    ]
+    return StabilitySweep(
+        max_amp.tolist(), phis[worst].tolist(), *(r.tolist() for r in rh), stable
+    )
 
 
 def amplification_roots(a: float, b: float, c: float) -> tuple[complex, complex]:

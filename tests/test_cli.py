@@ -515,7 +515,7 @@ class TestStability:
         def never(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr("telespline.stability.sweep_columns", never)
+        monkeypatch.setattr("telespline.stability.stability_sweep", never)
         code, out, err = run_cli(
             ["stability", "--alpha", "1", "--beta", "1", "--dt", "0.1", "--n", "40",
              "--sweep", sweep],
@@ -869,9 +869,9 @@ class TestWriterMatchesReference:
         )
         assert code == 0
         thetas = cli._parse_sweep("theta=0:1:0.05")
-        reports = stability_sweep(0.0, 0.0, thetas, 1.0, cli.UniformMesh(0.0, math.pi, 40))
-        assert {report.stable for report in reports} == {True, False}
-        assert out == oracle.stability_text(thetas, reports, sep)
+        sweep = stability_sweep(0.0, 0.0, thetas, 1.0, cli.UniformMesh(0.0, math.pi, 40))
+        assert set(sweep.stable) == {True, False}
+        assert out == oracle.stability_text(thetas, sweep, sep)
 
     def test_special_values_through_the_frame_template(self):
         specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 0.1]

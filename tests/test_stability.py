@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from telespline import stability
 from telespline.basis import UniformMesh, basis_weights, scheme_stencil
-from telespline.stability import _max_amplification, stability_scan, stability_sweep
+from telespline.stability import (
+    StabilityReport,
+    _max_amplification,
+    stability_scan,
+    stability_sweep,
+)
 
 from oracle import amplification_roots, full_grid_sweep, quadratic
 
@@ -156,6 +161,11 @@ def reference_scan(alpha, beta, theta, dt, mesh, phi_samples):
     return amps[worst], float(phis[worst]), (a + b + c, a - c, a - b + c)
 
 
+def rh(sweep, i):
+    """Row i's Routh-Hurwitz triple, as ``StabilityReport.rh_conditions``."""
+    return sweep.rh1[i], sweep.rh2[i], sweep.rh3[i]
+
+
 class TestSweep:
     @given(
         alpha=st.floats(0.0, 10.0),
@@ -169,17 +179,19 @@ class TestSweep:
         dt = 10.0**log_dt
         thetas = np.random.default_rng(seed).uniform(0.0, 1.0, count)
         thetas[:: max(1, count // 3)] = 0.5  # the stability boundary shows up too
-        reports = stability_sweep(alpha, beta, thetas, dt, MESH)
-        assert len(reports) == count
+        sweep = stability_sweep(alpha, beta, thetas, dt, MESH)
+        assert [len(column) for column in sweep] == [count] * 6
         # the scalar reference is slow in Python: check the ends and a spread
         for i in sorted({0, count - 1}.union(range(0, count, max(1, count // 25)))):
             theta = float(thetas[i])
-            assert reports[i] == stability_scan(alpha, beta, theta, dt, MESH)
-            max_amp, worst_phi, rh = reference_scan(alpha, beta, theta, dt, MESH, 2)
-            assert reports[i].max_amplification == max_amp
-            assert reports[i].worst_phi == worst_phi
-            assert reports[i].rh_conditions == rh
-            assert reports[i].stable == (max_amp <= 1.0 + 1e-12)
+            scan = stability_scan(alpha, beta, theta, dt, MESH)
+            row = (sweep.max_amplification[i], sweep.worst_phi[i], rh(sweep, i), sweep.stable[i])
+            assert row == (scan.max_amplification, scan.worst_phi, scan.rh_conditions, scan.stable)
+            max_amp, worst_phi, rh_conditions = reference_scan(alpha, beta, theta, dt, MESH, 2)
+            assert sweep.max_amplification[i] == max_amp
+            assert sweep.worst_phi[i] == worst_phi
+            assert rh(sweep, i) == rh_conditions
+            assert sweep.stable[i] == (max_amp <= 1.0 + 1e-12)
             abc = quadratic(alpha, beta, theta, dt, WEIGHTS, math.cos(worst_phi))
             root_max = max(abs(r) for r in amplification_roots(*abc))
             assert abs(max_amp - root_max) <= 1e-12
@@ -218,9 +230,9 @@ class TestSweep:
 
     def test_ties_report_the_first_maximum(self):
         # with dt = 0 every mode has the double root 1, so all phi tie
-        reports = stability_sweep(3.0, 2.0, [0.0, 0.5, 1.0], 0.0, MESH)
-        for theta, report in zip([0.0, 0.5, 1.0], reports):
-            assert (report.max_amplification, report.worst_phi) == (1.0, 0.0)
+        sweep = stability_sweep(3.0, 2.0, [0.0, 0.5, 1.0], 0.0, MESH)
+        for theta, peak, phi in zip([0.0, 0.5, 1.0], sweep.max_amplification, sweep.worst_phi):
+            assert (peak, phi) == (1.0, 0.0)
             assert reference_scan(3.0, 2.0, theta, 0.0, MESH, 181)[:2] == (1.0, 0.0)
 
     def test_nan_amplification_reads_unstable(self):
@@ -229,6 +241,22 @@ class TestSweep:
         report = stability_scan(0.0, 0.0, 0.5, 5.6e152, mesh)
         assert math.isnan(report.max_amplification)
         assert not report.stable
+
+    def test_sweep_builds_no_report_and_scan_builds_one(self, monkeypatch):
+        # the sweep hands back its columns; only the one-theta view builds a report
+        built = []
+        init = StabilityReport.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StabilityReport, "__init__", counted)
+        mesh = UniformMesh(0.0, math.pi, 1000)
+        stability_sweep(*SEED_301, np.linspace(0.0, 1.0, 5001), 1e-3, mesh)
+        assert built == []
+        stability_scan(*SEED_301, 0.5, 1e-3, mesh)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("dt", [1e154, 1e160, math.inf, math.nan])
     def test_non_finite_coefficients_name_dt(self, dt):
@@ -267,14 +295,11 @@ SEED_301 = (3.2980116134776933, 1.733373462070224)
 SEED_7 = (1.0279721087357567, 2.1273361825996346)
 
 
-def assert_reports_equal(reports, expected):
-    """Bit for bit, with NaN equal to NaN."""
-    assert len(reports) == len(expected)
-    for got, want in zip(reports, expected):
-        got_floats = (got.max_amplification, got.worst_phi, *got.rh_conditions)
-        want_floats = (want.max_amplification, want.worst_phi, *want.rh_conditions)
-        assert np.array(got_floats).tobytes() == np.array(want_floats).tobytes(), (got, want)
-        assert got.stable == want.stable
+def assert_sweeps_equal(got, want, rows=slice(None)):
+    """Every column bit for bit over ``rows``, with NaN equal to NaN."""
+    for name, column, expected in zip(got._fields, got, want):
+        got_bytes, want_bytes = (np.array(c[rows]).tobytes() for c in (column, expected))
+        assert got_bytes == want_bytes, (name, rows)
 
 
 @pytest.fixture
@@ -334,24 +359,24 @@ class TestBandedSweep:
             with pytest.raises(ValueError, match=re.escape(str(error))):
                 stability_sweep(alpha, beta, thetas, dt, mesh)
             return
-        reports = stability_sweep(alpha, beta, thetas, dt, mesh)
-        full_grid = full_grid_sweep(alpha, beta, thetas, dt, mesh)
-        for theta, got, end, full in zip(thetas, reports, ends, full_grid):
+        got = stability_sweep(alpha, beta, thetas, dt, mesh)
+        full = full_grid_sweep(alpha, beta, thetas, dt, mesh)
+        for i, theta in enumerate(thetas):
             zero = lead_zero(alpha, beta, theta, dt, mesh)
             if zero is not None:
                 # a root is unbounded where A vanishes
-                assert got.max_amplification == math.inf and not got.stable
-                assert got.worst_phi == pytest.approx(zero, abs=1e-12)
-                assert got.rh_conditions == end.rh_conditions
+                assert got.max_amplification[i] == math.inf and not got.stable[i]
+                assert got.worst_phi[i] == pytest.approx(zero, abs=1e-12)
+                assert rh(got, i) == rh(ends, i)
                 continue
-            assert_reports_equal([got], [end])
+            assert_sweeps_equal(got, ends, slice(i, i + 1))
             # the full grid holds both ends, so it can only read higher; from
             # dt = 1e-4 up it reads the same maximum and verdict to rounding
-            assert not got.max_amplification > full.max_amplification
+            assert not got.max_amplification[i] > full.max_amplification[i]
             if dt >= 1e-4:
-                assert got.stable == full.stable
-                if math.isfinite(full.max_amplification):
-                    assert full.max_amplification <= got.max_amplification * (1.0 + 1e-14)
+                assert got.stable[i] == full.stable[i]
+                if math.isfinite(full.max_amplification[i]):
+                    assert full.max_amplification[i] <= got.max_amplification[i] * (1.0 + 1e-14)
 
     @pytest.mark.parametrize("alpha, beta", [SEED_301, SEED_7])
     def test_benchmark_sweeps_equal_the_full_grid(self, alpha, beta):
@@ -360,15 +385,14 @@ class TestBandedSweep:
         # by at most an ulp
         mesh = UniformMesh(0.0, math.pi, 1000)
         thetas = np.linspace(0.0, 1.0, 5001)
-        reports = stability_sweep(alpha, beta, thetas, 1e-3, mesh)
+        sweep = stability_sweep(alpha, beta, thetas, 1e-3, mesh)
         full = full_grid_sweep(alpha, beta, thetas, 1e-3, mesh)
-        assert_reports_equal(reports[1:], full[1:])
-        tie, exact = reports[0], full[0]
+        assert_sweeps_equal(sweep, full, slice(1, None))
         if alpha >= beta:
-            assert_reports_equal([tie], [exact])
-        assert tie.worst_phi in (0.0, math.pi)
-        assert tie.max_amplification == pytest.approx(exact.max_amplification, rel=2.3e-16)
-        assert (tie.rh_conditions, tie.stable) == (exact.rh_conditions, exact.stable)
+            assert_sweeps_equal(sweep, full, slice(0, 1))
+        assert sweep.worst_phi[0] in (0.0, math.pi)
+        assert sweep.max_amplification[0] == pytest.approx(full.max_amplification[0], rel=2.3e-16)
+        assert (rh(sweep, 0), sweep.stable[0]) == (rh(full, 0), full.stable[0])
 
     def test_rounding_level_discriminant_reads_stable(self):
         # at this dt the discriminant is rounding noise away from the ends: a
@@ -376,9 +400,9 @@ class TestBandedSweep:
         # above 1, so 10 of these rows read unstable; the exact maximum is 1,
         # at phi = 0
         mesh = UniformMesh(0.0, math.pi, 2641)
-        for report in stability_sweep(0.0, 0.0, np.linspace(0.0, 1.0, 21), 1.07e-11, mesh):
-            assert report.max_amplification == 1.0
-            assert report.stable
+        sweep = stability_sweep(0.0, 0.0, np.linspace(0.0, 1.0, 21), 1.07e-11, mesh)
+        assert sweep.max_amplification == [1.0] * 21
+        assert sweep.stable == [True] * 21
 
     @pytest.mark.xfail(
         strict=True,
@@ -425,9 +449,9 @@ class TestBandedSweep:
         assert not report.stable
         assert report.worst_phi == pytest.approx(zero, abs=1e-12)
         assert report.worst_phi == pytest.approx(2.2511496454009432, rel=1e-12)
-        (full,) = full_grid_sweep(0.0, 0.0, [0.5], 0.1, mesh)
-        assert not full.stable
-        assert full.worst_phi == pytest.approx(report.worst_phi, abs=math.pi / 720)
+        full = full_grid_sweep(0.0, 0.0, [0.5], 0.1, mesh)
+        assert full.stable == [False]
+        assert full.worst_phi[0] == pytest.approx(report.worst_phi, abs=math.pi / 720)
 
     @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (1.0, 2.9), (2.0, 2.5)])
     def test_theta_zero_tie_has_the_exact_amplification(self, alpha, beta):
@@ -436,10 +460,11 @@ class TestBandedSweep:
         # exactly: the amplification is pinned, but rounding names the end
         mesh = UniformMesh(0.0, math.pi, 1000)
         dt = 1e-3
-        for report in stability_sweep(alpha, beta, [0.0, 1e-10], dt, mesh):
-            assert abs(report.max_amplification * math.sqrt(1.0 + 2.0 * alpha * dt) - 1.0) <= 1e-15
-            assert report.worst_phi in (0.0, math.pi)
-            assert report.stable
+        sweep = stability_sweep(alpha, beta, [0.0, 1e-10], dt, mesh)
+        for peak, phi, stable in zip(sweep.max_amplification, sweep.worst_phi, sweep.stable):
+            assert abs(peak * math.sqrt(1.0 + 2.0 * alpha * dt) - 1.0) <= 1e-15
+            assert phi in (0.0, math.pi)
+            assert stable
 
     def test_benchmark_sweep_skips_most_of_the_grid(self, kernel_calls):
         # one kernel call on the two end columns
