@@ -25,6 +25,9 @@ s_m = sin((u - m h)/2), which is xi(x_{c+m}) and -zeta(x_{c+m}),
 
 for any u, not only inside the cell.  One kernel evaluates these four on an
 array of offsets; :func:`evaluate_solution`, the only off-knot evaluator, uses it.
+numpy is loaded on the first call to an array evaluator (``knots``,
+:func:`evaluate_solution`, :func:`knot_values`), so the stability analysis,
+which reads only the scalar weights, runs without it.
 
 At the five knots of its support the triple (value, first, second derivative)
 takes the tabulated weights
@@ -49,8 +52,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DegenerateMeshError(ValueError):
@@ -87,6 +92,8 @@ class UniformMesh:
 
     def knots(self) -> np.ndarray:
         """The n_cells + 1 knots x_i = a + i*h of [a, b], with x_n = b exactly."""
+        import numpy as np
+
         knots = self.a + self.h * np.arange(self.n_cells + 1)
         knots[-1] = self.b
         return knots
@@ -159,27 +166,31 @@ def scheme_stencil(
         w1 = lambda a1 - k^2 theta a5       w3 = mu a1 + (1 - theta) k^2 a5
         w2 = lambda a2 - k^2 theta a6       w4 = mu a2 + (1 - theta) k^2 a6
 
-    ``first_step`` adds the ghost level's 1 to lambda.  The step matrix,
-    the step's right-hand side and the von Neumann analysis all read these.
-    ``theta`` is a float or an array, and the weights take its shape; an
-    overflow gives a non-finite weight silently, for the caller to check.
+    ``first_step`` adds the ghost level's 1 to lambda.  The step matrix
+    and the step's right-hand side read these, and the von Neumann analysis
+    (:func:`telespline.stability.stability_sweep`) writes the same products
+    and sums out per theta, in this order.  ``theta`` is a float or an
+    array, and the weights take its shape.  For floats an overflow gives a
+    non-finite weight silently, for the caller to check; numpy warns of it
+    on arrays.
     """
     beta2 = beta * beta
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = 1.0 + 2.0 * alpha * k + k * k * theta * beta2
-        if first_step:
-            lam = lam + 1.0
-        mu = 2.0 + 2.0 * alpha * k - (1.0 - theta) * k * k * beta2
-        return (
-            lam * weights.a1 - k * k * theta * weights.a5,
-            lam * weights.a2 - k * k * theta * weights.a6,
-            mu * weights.a1 + (1.0 - theta) * k * k * weights.a5,
-            mu * weights.a2 + (1.0 - theta) * k * k * weights.a6,
-        )
+    lam = 1.0 + 2.0 * alpha * k + k * k * theta * beta2
+    if first_step:
+        lam = lam + 1.0
+    mu = 2.0 + 2.0 * alpha * k - (1.0 - theta) * k * k * beta2
+    return (
+        lam * weights.a1 - k * k * theta * weights.a5,
+        lam * weights.a2 - k * k * theta * weights.a6,
+        mu * weights.a1 + (1.0 - theta) * k * k * weights.a5,
+        mu * weights.a2 + (1.0 - theta) * k * k * weights.a6,
+    )
 
 
 def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product rule on (value, d1, d2) triples stacked along the first axis."""
+    import numpy as np
+
     return np.stack(
         (
             p[0] * q[0],
@@ -196,6 +207,8 @@ def _cell_basis(u, mesh: UniformMesh) -> np.ndarray:
     the four basis functions of cell c last.  The formulas hold for any u,
     not only for x inside the cell.
     """
+    import numpy as np
+
     _require_nondegenerate(mesh)
     h = mesh.h
     # half[m + 2] = (u - m h)/2 for m = -2 .. 3
@@ -223,6 +236,8 @@ def evaluate_solution(coeffs, x, mesh: UniformMesh, derivative_order: int = 0):
     x_c <= x < x_{c+1}, so on a knot its offset u is 0 and it matches
     :func:`knot_values` to rounding.
     """
+    import numpy as np
+
     values = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
     n = mesh.n_cells
     if values.shape != (n + 3,):
@@ -253,6 +268,8 @@ def knot_values(
     N + 3 coefficient vector; a stack of coefficient vectors (last axis
     N + 3) gives the same stack of knot vectors.
     """
+    import numpy as np
+
     values = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
     left, middle, right = values[..., :-2], values[..., 1:-1], values[..., 2:]
     if derivative_order == 0:

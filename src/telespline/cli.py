@@ -41,18 +41,22 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .basis import UniformMesh, basis_weights, knot_values
 
-# Every other sibling module is imported by the code that calls it, so a
-# subcommand loads only what it runs: stability never loads expr, linalg,
-# problem, solver or metrics, and solve --problem never loads expr.
+# numpy and every other sibling module are imported by the code that calls
+# them, so a subcommand loads only what it runs: stability loads no numpy
+# and never loads expr, linalg, problem, solver or metrics (--domain adds
+# expr, and with it numpy), and solve --problem never loads expr.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .problem import TelegraphProblem
     from .solver import SolutionHistory
 
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
+
+# the verdict cell of a stability row, indexed by its stable flag
+_VERDICTS = ("unstable", "stable")
 
 # stands for the t cell in a frame template until a frame's time is put in
 _T_CELL = "{t}"
@@ -142,9 +146,14 @@ def _parse_sweep(text: str) -> list[float]:
         raise ConfigError(
             f"--sweep: {text!r} gives more than {MAX_SWEEP_POINTS} theta values"
         )
-    count = int(span)
-    # accumulated rounding must not push the last value past stop
-    return [min(start + i * step, stop) for i in range(count + 1)]
+    thetas = [start + i * step for i in range(int(span) + 1)]
+    # accumulated rounding must not push a value past stop; the values never
+    # decrease as i grows, so those that do are a run at the end
+    last = len(thetas) - 1
+    while thetas[last] > stop:
+        thetas[last] = stop
+        last -= 1
+    return thetas
 
 
 def load_problem_config(path: str) -> TelegraphProblem:
@@ -281,6 +290,8 @@ def _march(
 def _write_plot_data(
     mesh: UniformMesh, history: SolutionHistory, args: argparse.Namespace
 ) -> None:
+    import numpy as np
+
     sep = _SEPARATORS[args.format]
     coeffs = np.stack([frame.values for frame in history.frames])
     values = knot_values(coeffs, basis_weights(mesh), 0)
@@ -291,6 +302,8 @@ def _write_plot_data(
 
 def cmd_solve(args: argparse.Namespace) -> None:
     """Write the solution at the requested times, knot by knot."""
+    import numpy as np
+
     from .problem import sample
 
     problem = _load_problem(args)
@@ -344,10 +357,8 @@ def cmd_stability(args: argparse.Namespace) -> None:
     sweep = stability_sweep(args.alpha, args.beta, thetas, args.dt, mesh)
     sep = _SEPARATORS[args.format]
     line = sep.join(["%.17g"] * 6 + ["%s"]) + "\n"
-    lines = (
-        line % (theta, peak, phi, rh1, rh2, rh3, "stable" if stable else "unstable")
-        for theta, peak, phi, rh1, rh2, rh3, stable in zip(thetas, *sweep)
-    )
+    verdicts = map(_VERDICTS.__getitem__, sweep.stable)
+    lines = map(line.__mod__, zip(thetas, *sweep[:5], verdicts))
     header = ["theta", "max_amplification", "worst_phi", "rh1", "rh2", "rh3", "verdict"]
     _emit(args.output, header, lines, sep)
 

@@ -13,12 +13,13 @@ x_i = a + i*h that it forms itself and which the cell kernel of
 :mod:`telespline.basis` must match to rounding, and the per-cell output writer that the CLI's frame templates must match
 byte for byte, the amplification quadratic's A, B and C at any mode angle,
 formed from :func:`telespline.basis.scheme_stencil` in the library's
-operation order, the scalar root solver of that quadratic, which the
-element-wise kernel of :mod:`telespline.stability` mirrors, and the
-stability sweep that runs that kernel on every (theta, phi) pair of a phi
-grid: with the two samples phi = 0 and phi = pi it must equal the two-end
-sweep of :mod:`telespline.stability` bit for bit, and a finer grid, which
-holds both ends, can only read a larger maximum, and the reference stepper
+operation order, the scalar root solver of that quadratic, the
+element-wise numpy kernel that mirrors it, the stability sweep that runs
+that kernel on every (theta, phi) pair of a phi grid: with the two samples
+phi = 0 and phi = pi it must equal the two-end sweep of
+:mod:`telespline.stability` bit for bit, and a finer grid, which holds both
+ends, can only read a larger maximum, the vectorised two-end sweep that the
+library's scalar per-theta loop must equal bit for bit, and the reference stepper
 whose right-hand side evaluates the spline at the knots twice per step,
 which the fused stencil of :mod:`telespline.solver` must match to rounding.
 """
@@ -48,12 +49,7 @@ from telespline.linalg import (
 from telespline.metrics import error_norms
 from telespline.problem import sample
 from telespline.solver import CoefficientFrame, _collocation_matrix, _fit_initial
-from telespline.stability import (
-    _DEGENERATE_LEAD,
-    _STABILITY_SLACK,
-    StabilitySweep,
-    _max_amplification,
-)
+from telespline.stability import _DEGENERATE_LEAD, _STABILITY_SLACK, StabilitySweep
 
 
 def dense(system: CornerTridiagonalSystem) -> np.ndarray:
@@ -397,7 +393,8 @@ def quadratic(alpha, beta, theta, dt, weights, cos):
     (theta, phi) grid.  Raises the library's ``ValueError`` when the stencil
     w1..w4 is not finite.
     """
-    w1, w2, w3, w4 = scheme_stencil(alpha, beta, theta, dt, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1, w2, w3, w4 = scheme_stencil(alpha, beta, theta, dt, weights)
     if not np.all(np.isfinite([w1, w2, w3, w4])):
         raise ValueError(
             f"dt = {dt} gives non-finite Fourier coefficients w1..w4 "
@@ -409,6 +406,76 @@ def quadratic(alpha, beta, theta, dt, weights, cos):
             w4 + 2.0 * w3 * cos,
             weights.a2 + 2.0 * weights.a1 * cos,
         )
+
+
+def _max_amplification(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|delta|_max of A delta^2 - B delta + C = 0, element by element.
+
+    Mirrors the scalar root solver :func:`amplification_roots`: a
+    degenerate lead gives inf, a complex pair gives sqrt(C/A), a real pair
+    the larger root modulus, and a NaN discriminant gives NaN.  Every entry
+    of the broadcast shape is written.
+    """
+    with np.errstate(all="ignore"):
+        abs_a = np.abs(a)
+        disc = b * b - 4.0 * a * c
+        complex_pair = disc < 0.0
+        # complex-conjugate pair: |delta|^2 equals the root product C/A
+        amp = np.sqrt(np.maximum(c / a, 0.0))
+        # damped stable modes are all complex pairs: skip the real branch then
+        if not complex_pair.all():
+            # |q| for q = (b + sign(b) sqrt(disc)) / 2: both terms share b's sign,
+            # so |q| = (|b| + sqrt(disc)) / 2 exactly; roots q/A and C/q (Vieta)
+            q = (np.abs(b) + np.sqrt(disc)) / 2.0
+            real = np.where(q != 0.0, np.maximum(q / abs_a, np.abs(c) / q), 0.0)
+            amp = np.where(complex_pair, amp, real)
+    return np.where(abs_a < _DEGENERATE_LEAD, np.inf, amp)
+
+
+# the two ends of the mode range, phi = 0 and phi = pi, and their cosines
+_END_PHI = np.array([0.0, math.pi])
+_END_COS = np.array([1.0, -1.0])
+
+
+def two_end_sweep(alpha, beta, thetas, dt, mesh) -> StabilitySweep:
+    """:func:`telespline.stability.stability_sweep` on numpy arrays: the
+    element-wise kernel on a (theta, end) grid of the two ends phi = 0 and
+    phi = pi, with the library's validation and messages.
+
+    The library's scalar loop must equal it bit for bit on every column,
+    except ``worst_phi`` on rows whose lead A vanishes somewhere on
+    [0, pi]: this takes the arccos of the zero of A with ``np.arccos``,
+    whose last bit depends on the CPU's vector routines, and the library
+    with ``math.acos``.
+    """
+    column = np.asarray(thetas, dtype=float).reshape(-1, 1)
+    weights = basis_weights(mesh)
+    if not (alpha >= 0 and beta >= 0):
+        raise ValueError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
+    outside = column[~((column >= 0.0) & (column <= 1.0))]
+    if outside.size:
+        raise ValueError(f"theta must lie in [0, 1], got {outside[0]}")
+    if not dt >= 0:
+        raise ValueError(f"dt must be nonnegative, got {dt}")
+    a, b, c = quadratic(alpha, beta, column, dt, weights, _END_COS)
+    with np.errstate(all="ignore"):
+        w1, w2, _, _ = scheme_stencil(alpha, beta, column[:, 0], dt, weights)
+        # A is affine in cos(phi): unless its end values share a strict sign it
+        # is zero at cos(phi) = -w2 / (2 w1), where a root is unbounded (A == 0
+        # throughout names phi = 0)
+        zero = np.nan_to_num(-w2 / (2.0 * w1), nan=1.0)
+        a_pi, b_pi, c_pi = a[:, 1], b[:, 1], c[1]
+        rh = (a_pi + b_pi + c_pi, a_pi - c_pi, a_pi - b_pi + c_pi)
+    amp = _max_amplification(a, b, c)
+    worst = amp.argmax(axis=1)  # the first maximum: a tie names phi = 0, a NaN wins
+    max_amp = amp[np.arange(len(amp)), worst]
+    vanishes = ~((a > 0.0).all(axis=1) | (a < 0.0).all(axis=1))
+    max_amp = np.where(vanishes, np.inf, max_amp)
+    worst_phi = np.where(vanishes, np.arccos(np.clip(zero, -1.0, 1.0)), _END_PHI[worst])
+    stable = (max_amp <= 1.0 + _STABILITY_SLACK).tolist()
+    return StabilitySweep(max_amp.tolist(), worst_phi.tolist(), *(r.tolist() for r in rh), stable)
 
 
 # grid points per block of theta rows: about 64 KiB per temporary

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: outputs, formats, exit codes."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 import telespline
@@ -531,6 +534,23 @@ class TestStability:
         with pytest.raises(cli.ConfigError, match="more than 20 theta values"):
             cli._parse_sweep("theta=0:1:0.05")
 
+    @given(
+        start=st.floats(-10.0, 10.0),
+        width=st.floats(0.0, 10.0),
+        step=st.floats(1e-3, 10.0),
+    )
+    @example(start=0.0, width=1.0, step=1 / 2.9999999995)  # the 1e-9 slack overshoots stop
+    @example(start=0.0, width=0.3, step=0.1)  # 3 * 0.1 rounds past 0.3
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_values_clamp_at_stop_as_a_min_per_value(self, start, width, step):
+        # the values are start + i*step with those past stop set to stop: the
+        # same bits as min(start + i*step, stop) for every i
+        stop = start + width
+        count = int((stop - start) / step + 1e-9)
+        expected = [min(start + i * step, stop) for i in range(count + 1)]
+        got = cli._parse_sweep(f"theta={start!r}:{stop!r}:{step!r}")
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
     def test_oversized_sweep_is_rejected_before_building_its_values(self, monkeypatch):
         # 100001 values would take megabytes; the count check must come first
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 1000)
@@ -873,6 +893,19 @@ class TestWriterMatchesReference:
         assert set(sweep.stable) == {True, False}
         assert out == oracle.stability_text(thetas, sweep, sep)
 
+    def test_benchmark_sweep_output_is_unchanged(self, capsys):
+        # sha256 of this sweep as written by the vectorised numpy kernel that
+        # the scalar loop replaced
+        code, out, _ = run_cli(
+            ["stability", "--alpha", "1.3", "--beta", "1.7", "--dt", "1e-3", "--n", "1000",
+             "--sweep", "theta=0:1:0.0002"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e8250d5027b633769d87041a706c1851b1dab797793b0939cf4d80872e23fcda"
+        )
+
     def test_special_values_through_the_frame_template(self):
         specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 0.1]
         knots = np.array(specials)
@@ -922,13 +955,14 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-# runs ``python -m telespline ARGS`` and prints the telespline modules it loaded
+# runs ``python -m telespline ARGS`` and prints the telespline modules it
+# loaded, and numpy if it was loaded
 _MODULE_PROBE = """\
 import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("telespline."))))
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("telespline.") or m == "numpy")))
 runpy.run_module("telespline", run_name="__main__", alter_sys=True)
 """
-_SOLVE_MODULES = {"basis", "cli", "linalg", "problem", "solver"}
+_SOLVE_MODULES = {"basis", "cli", "linalg", "problem", "solver", "numpy"}
 _SHORT_RUN = ["--n", "10", "--dt", "0.01", "--t-final", "0.01"]
 
 
@@ -956,4 +990,5 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, write_config, 
         timeout=60,
     )
     assert result.stderr == ""
-    assert result.stdout.split() == sorted(f"telespline.{name}" for name in modules)
+    expected = ("numpy" if name == "numpy" else f"telespline.{name}" for name in modules)
+    assert result.stdout.split() == sorted(expected)

@@ -5,19 +5,25 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from telespline import stability
 from telespline.basis import UniformMesh, basis_weights, scheme_stencil
 from telespline.stability import (
     StabilityReport,
-    _max_amplification,
+    _end_amplification,
     stability_scan,
     stability_sweep,
 )
 
-from oracle import amplification_roots, full_grid_sweep, quadratic
+from oracle import (
+    _max_amplification,
+    amplification_roots,
+    full_grid_sweep,
+    quadratic,
+    two_end_sweep,
+)
 
 MESH = UniformMesh(0.0, math.pi, 20)
 WEIGHTS = basis_weights(MESH)
@@ -218,15 +224,19 @@ class TestSweep:
         cos = np.cos(np.linspace(0.0, math.pi, 181))
         grid = _max_amplification(w2 + 2.0 * w1 * cos, w4 + 2.0 * w3 * cos, a2 + 2.0 * a1 * cos)
         for row in range(len(w1)):
-            expected = [
-                reference_amplification(
+            abc = [
+                (
                     float(w2[row, 0] + 2.0 * w1[row, 0] * x),
                     float(w4[row, 0] + 2.0 * w3[row, 0] * x),
                     float(a2[row, 0] + 2.0 * a1[row, 0] * x),
                 )
                 for x in cos
             ]
+            expected = [reference_amplification(*point) for point in abc]
             assert grid[row].tolist() == expected, row
+            # the library's scalar kernel for one end, at every point
+            scalar = [_end_amplification(a, b, c, b * b - 4.0 * a * c) for a, b, c in abc]
+            assert scalar == expected, row
 
     def test_ties_report_the_first_maximum(self):
         # with dt = 0 every mode has the double root 1, so all phi tie
@@ -303,15 +313,16 @@ def assert_sweeps_equal(got, want, rows=slice(None)):
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """The broadcast (theta rows, phi columns) shape of every kernel call."""
+def general_ends(monkeypatch):
+    """The arguments of every call to the general one-end kernel, which a
+    row takes unless its lead A is at least 1e-14 at both ends."""
     calls = []
 
-    def counted(a, b, c):
-        calls.append(np.broadcast(a, b, c).shape)
-        return _max_amplification(a, b, c)
+    def counted(*args):
+        calls.append(args)
+        return _end_amplification(*args)
 
-    monkeypatch.setattr(stability, "_max_amplification", counted)
+    monkeypatch.setattr(stability, "_end_amplification", counted)
     return calls
 
 
@@ -466,8 +477,56 @@ class TestBandedSweep:
             assert phi in (0.0, math.pi)
             assert stable
 
-    def test_benchmark_sweep_skips_most_of_the_grid(self, kernel_calls):
-        # one kernel call on the two end columns
+    def test_benchmark_sweeps_take_the_positive_lead_path(self, general_ends):
+        # below h = 2 pi / 3 the scheme's lead is positive at both ends on
+        # every row, so no row of the benchmark's sweeps needs the general
+        # kernel's per-end test of the lead's size and sign
         mesh = UniformMesh(0.0, math.pi, 1000)
-        stability_sweep(*SEED_301, np.linspace(0.0, 1.0, 5001), 1e-3, mesh)
-        assert kernel_calls == [(5001, 2)]
+        for alpha, beta in (SEED_301, SEED_7):
+            stability_sweep(alpha, beta, np.linspace(0.0, 1.0, 5001), 1e-3, mesh)
+        assert general_ends == []
+
+
+class TestScalarSweep:
+    """The scalar loop against the vectorised two-end sweep it replaced."""
+
+    @given(
+        alpha=magnitude(),
+        beta=magnitude(),
+        thetas=st.lists(st.floats(0.0, 1.0), max_size=40).map(lambda t: [0.0, 0.5, 1.0] + t),
+        dt=st.one_of(
+            st.just(0.0), st.floats(-11.0, 1.5).map(lambda e: 10.0**e), st.just(5.6e152)
+        ),
+        n=st.integers(3, 3000),
+        cell=st.one_of(FINE_CELL, COARSE_CELL),
+        as_array=st.booleans(),
+    )
+    # NaN rows, and finite weights whose rows read rh1 = -inf and +inf
+    @example(
+        alpha=0.0, beta=0.0, thetas=[0.0, 0.25, 0.5, 0.75, 1.0], dt=5.6e152, n=40,
+        cell=math.pi / 40, as_array=True,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_vectorised_two_end_sweep_bit_for_bit(
+        self, alpha, beta, thetas, dt, n, cell, as_array
+    ):
+        mesh = UniformMesh(0.0, n * cell, n)
+        argument = np.array(thetas) if as_array else thetas
+        try:
+            want = two_end_sweep(alpha, beta, thetas, dt, mesh)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                stability_sweep(alpha, beta, argument, dt, mesh)
+            return
+        got = stability_sweep(alpha, beta, argument, dt, mesh)
+        worst_phi = list(want.worst_phi)
+        for i, theta in enumerate(thetas):
+            zero = lead_zero(alpha, beta, theta, dt, mesh)
+            if zero is not None:
+                # where the lead vanishes the library takes math.acos, whose
+                # result does not depend on the CPU as np.arccos's can
+                assert got.max_amplification[i] == math.inf
+                worst_phi[i] = zero
+        assert_sweeps_equal(got, want._replace(worst_phi=worst_phi))
+        assert all(type(value) is float for column in got[:5] for value in column)
+        assert all(type(value) is bool for value in got.stable)
