@@ -51,8 +51,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+from ._record import FrozenRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,33 +63,33 @@ class DegenerateMeshError(ValueError):
     """Raised when the cell width makes the basis normalisation collapse."""
 
 
-@dataclass(frozen=True)
-class UniformMesh:
-    """Uniform spatial mesh with n_cells cells on [a, b].
+class UniformMesh(FrozenRecord):
+    """Uniform spatial mesh with n_cells cells on [a, b], and its cell width h.
 
     The basis functions overlapping [a, b] also reach three ghost knots
     x_i = a + i*h beyond each end.
     """
 
+    __slots__ = _fields = ("a", "b", "n_cells", "h")
     a: float
     b: float
     n_cells: int
-    h: float = field(init=False)
+    h: float
 
-    def __post_init__(self) -> None:
-        if not self.b > self.a:
-            raise ValueError(f"mesh needs b > a, got [{self.a}, {self.b}]")
+    def __init__(self, a: float, b: float, n_cells: int) -> None:
+        if not b > a:
+            raise ValueError(f"mesh needs b > a, got [{a}, {b}]")
         try:
             # numpy integers pass; 10.5 or "10" would change h or break knots()
-            object.__setattr__(self, "n_cells", operator.index(self.n_cells))
+            n_cells = operator.index(n_cells)
         except TypeError:
-            raise ValueError(f"mesh needs an integer cell count, got {self.n_cells!r}") from None
-        if self.n_cells < 3:
-            raise ValueError(f"mesh needs at least 3 cells, got {self.n_cells}")
-        h = (self.b - self.a) / self.n_cells
+            raise ValueError(f"mesh needs an integer cell count, got {n_cells!r}") from None
+        if n_cells < 3:
+            raise ValueError(f"mesh needs at least 3 cells, got {n_cells}")
+        h = (b - a) / n_cells
         if not h < math.pi:
             raise ValueError(f"cell width {h} must be below pi")
-        object.__setattr__(self, "h", h)
+        self._assign(a, b, n_cells, h)
 
     def knots(self) -> np.ndarray:
         """The n_cells + 1 knots x_i = a + i*h of [a, b], with x_n = b exactly."""
@@ -99,8 +100,7 @@ class UniformMesh:
         return knots
 
 
-@dataclass(frozen=True)
-class BasisWeights:
+class BasisWeights(NamedTuple):
     """Knot-point weights a1..a6 of the basis value and its derivatives."""
 
     a1: float

@@ -46,7 +46,8 @@ from .basis import UniformMesh, basis_weights, knot_values
 # numpy and every other sibling module are imported by the code that calls
 # them, so a subcommand loads only what it runs: stability loads no numpy
 # and never loads expr, linalg, problem, solver or metrics (--domain adds
-# expr, and with it numpy), and solve --problem never loads expr.
+# expr, and with it numpy), and solve --problem never loads expr.  Only
+# problem defines dataclasses, so stability never imports dataclasses.
 if TYPE_CHECKING:
     import numpy as np
 

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, NoReturn, Union
+from typing import Callable, NamedTuple, NoReturn, Union
 
 import numpy as np
+
+from ._record import FrozenRecord
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -97,32 +98,51 @@ class EvaluationError(ExpressionError):
         super().__init__(f"cannot evaluate {operation!r} with operands ({shown})")
 
 
-@dataclass(frozen=True)
-class Num:
+# The tree's nodes: equal when of one type with equal fields, so a Var is
+# never equal to a Num holding the same value.
+
+
+class Num(FrozenRecord):
+    __slots__ = _fields = ("value",)
     value: float
 
+    def __init__(self, value: float) -> None:
+        self._assign(value)
 
-@dataclass(frozen=True)
-class Var:
+
+class Var(FrozenRecord):
+    __slots__ = _fields = ("name",)
     name: str
 
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+    def __init__(self, name: str) -> None:
+        self._assign(name)
 
 
-@dataclass(frozen=True)
-class BinOp:
+class Neg(FrozenRecord):
+    __slots__ = _fields = ("operand",)
+    operand: Node
+
+    def __init__(self, operand: Node) -> None:
+        self._assign(operand)
+
+
+class BinOp(FrozenRecord):
+    __slots__ = _fields = ("op", "left", "right")
     op: str
-    left: "Node"
-    right: "Node"
+    left: Node
+    right: Node
+
+    def __init__(self, op: str, left: Node, right: Node) -> None:
+        self._assign(op, left, right)
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(FrozenRecord):
+    __slots__ = _fields = ("func", "arg")
     func: str
-    arg: "Node"
+    arg: Node
+
+    def __init__(self, func: str, arg: Node) -> None:
+        self._assign(func, arg)
 
 
 Node = Union[Num, Var, Neg, BinOp, Call]
@@ -136,8 +156,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "name" | "op" | "end"
     text: str
     position: int
@@ -427,26 +446,27 @@ def _unparse(node: Node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(FrozenRecord):
     """A parsed expression in the variables x and t.
 
     Calling it, ``expression(x, t)``, evaluates it with numpy broadcasting:
     x and t may each be a float or a float64 array, and the result is a
     numpy float or array.  A result that depends on neither variable is a
-    numpy float whatever the inputs' shapes.
+    numpy float whatever the inputs' shapes.  Expressions are equal when
+    their trees are.
     """
 
+    __slots__ = ("root", "_function", "_variables")
+    _fields = ("root",)
     root: Node
-    _function: Callable = field(init=False, repr=False, compare=False)
-    _variables: frozenset[str] = field(init=False, repr=False, compare=False)
+    _function: Callable
+    _variables: frozenset[str]
 
-    def __post_init__(self) -> None:
-        function, variables = _compile(self.root, root=True)
+    def __init__(self, root: Node) -> None:
+        function, variables = _compile(root, root=True)
         if not variables:
             function = _folded(function)
-        object.__setattr__(self, "_function", function)
-        object.__setattr__(self, "_variables", variables)
+        self._assign(root, function, variables)
 
     def __call__(self, x=0.0, t=0.0):
         with np.errstate(all="ignore"):

@@ -61,11 +61,12 @@ arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
 
 import numpy as np
+
+from ._record import Record
 
 _PIVOT_FLOOR = 1e-13
 # doubling levels whose coefficients are all below this change no result
@@ -84,13 +85,13 @@ class SingularSystemError(RuntimeError):
         super().__init__(f"{message}: {reason}" if reason else message)
 
 
-@dataclass
-class CornerTridiagonalSystem:
+class CornerTridiagonalSystem(Record):
     """Tridiagonal system with corner entries at (0, 2) and (n-1, n-3).
 
     sub[i] sits at (i+1, i), diag[i] at (i, i), sup[i] at (i, i+1).
     """
 
+    __slots__ = _fields = ("sub", "diag", "sup", "corner_top", "corner_bottom", "rhs")
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
@@ -98,11 +99,21 @@ class CornerTridiagonalSystem:
     corner_bottom: float
     rhs: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.sub = np.asarray(self.sub, dtype=float)
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.sup = np.asarray(self.sup, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
+    def __init__(
+        self,
+        sub: np.ndarray,
+        diag: np.ndarray,
+        sup: np.ndarray,
+        corner_top: float,
+        corner_bottom: float,
+        rhs: np.ndarray,
+    ) -> None:
+        self.sub = np.asarray(sub, dtype=float)
+        self.diag = np.asarray(diag, dtype=float)
+        self.sup = np.asarray(sup, dtype=float)
+        self.corner_top = corner_top
+        self.corner_bottom = corner_bottom
+        self.rhs = np.asarray(rhs, dtype=float)
         n = self.diag.size
         if n < 4:
             raise ValueError(f"system needs at least 4 rows, got {n}")

@@ -12,7 +12,7 @@ so L_2 = RMS * sqrt(h * (N + 1)) and L_inf >= RMS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ class MissingExactSolutionError(ValueError):
     """Raised when norms are requested for a problem without an exact solution."""
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     l_inf: float
     l2: float
     rms: float

@@ -60,11 +60,11 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .basis import BasisWeights, UniformMesh, basis_weights, scheme_stencil
 from .linalg import CornerTridiagonalFactor, CornerTridiagonalSystem, SingularSystemError, solve
 from .problem import BoundaryKind, TelegraphProblem, central_slope, sample, slope_step
@@ -93,8 +93,7 @@ _LOST_CURVATURE = (
 )
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(FrozenRecord):
     """Time-scheme parameters.
 
     ``forcing_level`` selects where the source term is sampled: at the old
@@ -102,29 +101,29 @@ class SchemeParams:
     (``"theta"``).
     """
 
+    __slots__ = _fields = ("theta", "dt", "t_final", "forcing_level")
     theta: float
     dt: float
     t_final: float
-    forcing_level: str = "j"
+    forcing_level: str
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not math.isfinite(self.t_final):
-            raise ValueError(f"t_final must be finite, got {self.t_final}")
-        if not self.t_final >= self.dt:
+    def __init__(self, theta: float, dt: float, t_final: float, forcing_level: str = "j") -> None:
+        self._assign(theta, dt, t_final, forcing_level)
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError(f"theta must lie in [0, 1], got {theta}")
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if not math.isfinite(t_final):
+            raise ValueError(f"t_final must be finite, got {t_final}")
+        if not t_final >= dt:
+            raise ValueError(f"t_final must be at least one step, got {t_final} < {dt}")
+        if not (t_final + self.align_tol) / dt <= _MAX_STEPS:
             raise ValueError(
-                f"t_final must be at least one step, got {self.t_final} < {self.dt}"
+                f"t_final / dt = {t_final} / {dt} is too large to count the steps"
             )
-        if not (self.t_final + self.align_tol) / self.dt <= _MAX_STEPS:
+        if forcing_level not in _FORCING_LEVELS:
             raise ValueError(
-                f"t_final / dt = {self.t_final} / {self.dt} is too large to count the steps"
-            )
-        if self.forcing_level not in _FORCING_LEVELS:
-            raise ValueError(
-                f"forcing_level must be one of {_FORCING_LEVELS}, got {self.forcing_level!r}"
+                f"forcing_level must be one of {_FORCING_LEVELS}, got {forcing_level!r}"
             )
 
     @property
@@ -146,25 +145,35 @@ class SchemeParams:
         return self.t_final if abs(self.t_final - end) <= self.align_tol else end
 
 
-@dataclass(frozen=True)
-class CoefficientFrame:
+class CoefficientFrame(NamedTuple):
     """Spline coefficients C_{-3} .. C_{N-1} at one time level."""
 
     values: np.ndarray
     time: float
 
 
-@dataclass(frozen=True)
-class SolutionHistory:
+class SolutionHistory(FrozenRecord):
     """Frames captured at the requested output times of one run.
 
     ``stepping_seconds[i]`` is the wall time the stepping loop had consumed
     when ``frames[i]`` was captured: right-hand sides and solves, plus the
     one-off factorisations of the first-step and later-step matrices.
+    Either list defaults to a new empty one.
     """
 
-    frames: list[CoefficientFrame] = field(default_factory=list)
-    stepping_seconds: list[float] = field(default_factory=list)
+    __slots__ = _fields = ("frames", "stepping_seconds")
+    frames: list[CoefficientFrame]
+    stepping_seconds: list[float]
+
+    def __init__(
+        self,
+        frames: Optional[list[CoefficientFrame]] = None,
+        stepping_seconds: Optional[list[float]] = None,
+    ) -> None:
+        self._assign(
+            [] if frames is None else frames,
+            [] if stepping_seconds is None else stepping_seconds,
+        )
 
 
 def _end_slopes(problem: TelegraphProblem, mesh: UniformMesh) -> np.ndarray:
@@ -295,7 +304,9 @@ def assemble_step(
     else:
         u_prev = w.a1 * (old[:-2] + old[2:]) + w.a2 * old[1:-1]
     rhs, _ = _step_rhs(problem, params, stencil, w, knots, current, u_prev, t_j)
-    return replace(matrix, rhs=rhs)
+    return CornerTridiagonalSystem(
+        matrix.sub, matrix.diag, matrix.sup, matrix.corner_top, matrix.corner_bottom, rhs
+    )
 
 
 def step(

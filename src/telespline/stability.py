@@ -45,7 +45,6 @@ A changes sign on every row and every row reads unbounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .basis import UniformMesh, basis_weights, scheme_stencil
@@ -54,8 +53,7 @@ _DEGENERATE_LEAD = 1e-14
 _STABILITY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Result of scanning mode angles phi over [0, pi]."""
 
     max_amplification: float

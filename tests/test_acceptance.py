@@ -146,7 +146,7 @@ def test_criterion_02_linear_algebra_oracle():
         frame0 = initial_coefficients(p, mesh)
         first = assemble_step(p, mesh, params, frame0, frame0, 0.0, first_step=True)
         check(first)
-        frame1 = dataclasses.replace(frame0, values=solve(first), time=params.dt)
+        frame1 = frame0._replace(values=solve(first), time=params.dt)
         check(assemble_step(p, mesh, params, frame1, frame0, params.dt))
 
     elapsed = time.perf_counter() - t0

@@ -956,13 +956,15 @@ def test_cli_import_loads_no_scipy():
 
 
 # runs ``python -m telespline ARGS`` and prints the telespline modules it
-# loaded, and numpy if it was loaded
-_MODULE_PROBE = """\
+# loaded, and numpy and dataclasses if it loaded them
+_UNPREFIXED = ("numpy", "dataclasses")
+_MODULE_PROBE = f"""\
 import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("telespline.") or m == "numpy")))
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("telespline.") or m in {_UNPREFIXED})))
 runpy.run_module("telespline", run_name="__main__", alter_sys=True)
 """
-_SOLVE_MODULES = {"basis", "cli", "linalg", "problem", "solver", "numpy"}
+# problem keeps two dataclasses, TelegraphProblem and BoundarySpec
+_SOLVE_MODULES = {"_record", "basis", "cli", "linalg", "problem", "solver", "numpy", "dataclasses"}
 _SHORT_RUN = ["--n", "10", "--dt", "0.01", "--t-final", "0.01"]
 
 
@@ -970,7 +972,7 @@ _SHORT_RUN = ["--n", "10", "--dt", "0.01", "--t-final", "0.01"]
     "argv, modules",
     [
         (["stability", "--alpha", "1", "--beta", "1", "--dt", "1e-3", "--n", "100", "--theta", "0.5"],
-         {"basis", "cli", "stability"}),
+         {"_record", "basis", "cli", "stability"}),
         (["solve", "--problem", "1"] + _SHORT_RUN, _SOLVE_MODULES),
         (["solve", "--config", "{config}"] + _SHORT_RUN, _SOLVE_MODULES | {"expr"}),
         (["bench", "--problem", "1"] + _SHORT_RUN, _SOLVE_MODULES | {"metrics"}),
@@ -990,5 +992,5 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, write_config, 
         timeout=60,
     )
     assert result.stderr == ""
-    expected = ("numpy" if name == "numpy" else f"telespline.{name}" for name in modules)
+    expected = (name if name in _UNPREFIXED else f"telespline.{name}" for name in modules)
     assert result.stdout.split() == sorted(expected)

@@ -320,7 +320,7 @@ class TestKeptFactors:
         for ours, theirs in zip(got.frames, want.frames):
             assert ours.values.tobytes() == theirs.values.tobytes()
         norms = [
-            np.array(dataclasses.astuple(error_norms(history.frames[-1], p, mesh)))
+            np.array(tuple(error_norms(history.frames[-1], p, mesh)))
             for history, p in ((got, built), (want, plain))
         ]
         assert norms[0].tobytes() == norms[1].tobytes()

@@ -255,13 +255,13 @@ class TestSweep:
     def test_sweep_builds_no_report_and_scan_builds_one(self, monkeypatch):
         # the sweep hands back its columns; only the one-theta view builds a report
         built = []
-        init = StabilityReport.__init__
+        new = StabilityReport.__new__
 
-        def counted(self, *args, **kwargs):
+        def counted(cls, *args, **kwargs):
             built.append(args or kwargs)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(StabilityReport, "__init__", counted)
+        monkeypatch.setattr(StabilityReport, "__new__", counted)
         mesh = UniformMesh(0.0, math.pi, 1000)
         stability_sweep(*SEED_301, np.linspace(0.0, 1.0, 5001), 1e-3, mesh)
         assert built == []
