@@ -7,9 +7,15 @@ pairs whose worst Fourier amplification exceeds 1 + 1e-12.
 import argparse
 import math
 
-import numpy as np
-
 from telespline import UniformMesh, stability_scan, stability_sweep
+
+
+def linspace01(n):
+    """n evenly spaced values from 0 to 1, bit for bit as numpy.linspace(0, 1, n)."""
+    if n < 2:
+        return [0.0] * n
+    step = 1.0 / (n - 1)
+    return [i * step for i in range(n - 1)] + [1.0]
 
 
 def main():
@@ -21,7 +27,7 @@ def main():
     args = parser.parse_args()
 
     mesh = UniformMesh(0.0, math.pi, args.n)
-    thetas = np.linspace(0.0, 1.0, args.thetas)
+    thetas = linspace01(args.thetas)
     steps = [10.0**e for e in range(-3, 1)]
 
     print(f"alpha = {args.alpha}, beta = {args.beta}, h = pi/{args.n}")

@@ -27,7 +27,7 @@ for any u, not only inside the cell.  One kernel evaluates these four on an
 array of offsets; :func:`evaluate_solution`, the only off-knot evaluator, uses it.
 numpy is loaded on the first call to an array evaluator (``knots``,
 :func:`evaluate_solution`, :func:`knot_values`), so the stability analysis,
-which reads only the scalar weights, runs without it.
+which reads only the scalar weights and the stencil, runs without it.
 
 At the five knots of its support the triple (value, first, second derivative)
 takes the tabulated weights
@@ -43,15 +43,17 @@ sum_i C_i TB_i over i = -3 .. N-1 therefore has the knot identities
     U'(x_j)  = a3 C_{j-3}             + a4 C_{j-1}
     U''(x_j) = a5 C_{j-3} + a6 C_{j-2} + a5 C_{j-1}
 
-used throughout the collocation solver; :func:`scheme_stencil` turns them
-into the time scheme's weights on those three coefficients.
+used throughout the collocation solver.  :func:`scheme_stencils` turns them
+into the time scheme's weights on those three coefficients; it is the one
+definition of those weights, which the solver reads for one theta through
+:func:`scheme_stencil` and the stability analysis for a sweep of thetas.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from ._record import FrozenRecord
 
@@ -149,10 +151,11 @@ def basis_weights(mesh: UniformMesh) -> BasisWeights:
     return BasisWeights(a1, a2, a3, a4, a5, a6)
 
 
-def scheme_stencil(
-    alpha: float, beta: float, theta, k: float, weights: BasisWeights, first_step: bool = False
-) -> tuple:
-    """The scheme's weights (w1, w2, w3, w4) on the coefficients around a knot.
+def scheme_stencils(
+    alpha: float, beta: float, thetas, k: float, weights: BasisWeights, first_step: bool = False
+) -> Iterator[tuple]:
+    """The scheme's weights (w1, w2, w3, w4) on the coefficients around a
+    knot, for each theta of ``thetas`` in order.
 
     Collocating the three-level theta scheme at knot x_j (see
     :mod:`telespline.solver`) reads, with S = C_{j-3} + C_{j-1} the two side
@@ -160,31 +163,40 @@ def scheme_stencil(
 
         w1 S^{j+1} + w2 M^{j+1} = w3 S^j + w4 M^j - U^{j-1}(x_j) + k^2 q
 
-    where, with lambda = 1 + 2 alpha k + k^2 theta beta^2 and
-    mu = 2 + 2 alpha k - (1 - theta) k^2 beta^2,
+    where, with lambda = (1 + 2 alpha k) + k^2 theta beta^2 and
+    mu = (2 + 2 alpha k) - (1 - theta) k^2 beta^2,
 
         w1 = lambda a1 - k^2 theta a5       w3 = mu a1 + (1 - theta) k^2 a5
         w2 = lambda a2 - k^2 theta a6       w4 = mu a2 + (1 - theta) k^2 a6
 
-    ``first_step`` adds the ghost level's 1 to lambda.  The step matrix
-    and the step's right-hand side read these, and the von Neumann analysis
-    (:func:`telespline.stability.stability_sweep`) writes the same products
-    and sums out per theta, in this order.  ``theta`` is a float or an
-    array, and the weights take its shape.  For floats an overflow gives a
-    non-finite weight silently, for the caller to check; numpy warns of it
-    on arrays.
+    ``first_step`` then adds the ghost level's 1 to lambda.  The parts free
+    of theta are formed once.  This is the one place the weights are
+    written: the step matrix and the step's right-hand side read them
+    through :func:`scheme_stencil`, and the von Neumann analysis
+    (:func:`telespline.stability.stability_sweep`) iterates this generator
+    over its thetas.  A theta is a float or an array, and its weights take
+    its shape.  For floats an overflow gives a non-finite weight silently,
+    for the caller to check; numpy warns of it on arrays.
     """
-    beta2 = beta * beta
-    lam = 1.0 + 2.0 * alpha * k + k * k * theta * beta2
-    if first_step:
-        lam = lam + 1.0
-    mu = 2.0 + 2.0 * alpha * k - (1.0 - theta) * k * k * beta2
-    return (
-        lam * weights.a1 - k * k * theta * weights.a5,
-        lam * weights.a2 - k * k * theta * weights.a6,
-        mu * weights.a1 + (1.0 - theta) * k * k * weights.a5,
-        mu * weights.a2 + (1.0 - theta) * k * k * weights.a6,
-    )
+    beta2, kk = beta * beta, k * k
+    lam0, mu0 = 1.0 + 2.0 * alpha * k, 2.0 + 2.0 * alpha * k
+    a1, a2, _, _, a5, a6 = weights
+    for theta in thetas:
+        t = kk * theta
+        s = (1.0 - theta) * k * k
+        lam = lam0 + t * beta2
+        if first_step:
+            lam = lam + 1.0
+        mu = mu0 - s * beta2
+        yield lam * a1 - t * a5, lam * a2 - t * a6, mu * a1 + s * a5, mu * a2 + s * a6
+
+
+def scheme_stencil(
+    alpha: float, beta: float, theta, k: float, weights: BasisWeights, first_step: bool = False
+) -> tuple:
+    """The weights (w1, w2, w3, w4) of :func:`scheme_stencils` for one
+    theta, a float or an array."""
+    return next(scheme_stencils(alpha, beta, (theta,), k, weights, first_step))
 
 
 def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ import argparse
 import math
 import sys
 from contextlib import nullcontext
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .basis import UniformMesh, basis_weights, knot_values
@@ -163,7 +162,8 @@ def load_problem_config(path: str) -> TelegraphProblem:
     from .problem import BoundaryKind, BoundarySpec, TelegraphProblem
 
     try:
-        text = Path(path).read_text()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
 

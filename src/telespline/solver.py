@@ -26,10 +26,11 @@ The initial coefficient vector interpolates g1 at all knots and matches
 g1' at both ends (for either boundary kind), which closes the system.
 
 The rows' weights come from :func:`telespline.basis.scheme_stencil`, the
-one definition the von Neumann analysis of :mod:`telespline.stability`
-also reads.  One definition, :func:`_stencil`, fixes every matrix by a
-handful of scalars: the knot rows' band (lo, mid, lo) between the two
-boundary rows of one kind.  The initial fit is (a1, a2, Neumann), since its
+one-theta view of the generator that the von Neumann analysis of
+:mod:`telespline.stability` iterates.  One definition, :func:`_stencil`,
+fixes every matrix by a handful of scalars: the knot rows' band
+(lo, mid, lo) between the two boundary rows of one kind.  The initial fit
+is (a1, a2, Neumann), since its
 g1' end rows are the Neumann rows; a step is (w1, w2, the problem's kind),
 where lambda gains the ghost-level +1 on the first step.  The step matrix
 therefore depends on the step only through that +1, so :func:`run` factors

@@ -7,8 +7,8 @@ recurrence gives, per mode angle phi, the quadratic
 
 with A = w2 + 2 w1 cos(phi), B = w4 + 2 w3 cos(phi), C = a2 + 2 a1 cos(phi),
 where w1..w4 are the scheme's stencil on the three time levels, as
-:func:`telespline.basis.scheme_stencil` defines them for the solver's step
-matrix and right-hand side.
+:func:`telespline.basis.scheme_stencils` defines them, once, for the
+solver's step matrix and right-hand side and for this analysis.
 
 The scheme is stable at phi when both roots satisfy |delta| <= 1.  Mapping
 delta = (1 + xi)/(1 - xi) turns that into a Routh-Hurwitz condition: the
@@ -25,11 +25,11 @@ cut out an interval of c.  So the largest |delta| over [0, pi] lies at an
 end, phi = 0 or phi = pi (E. I. Jury, Theory and Application of the
 z-Transform Method, 1964; J. J. H. Miller, J. Inst. Math. Appl. 8 (1971)).
 :func:`stability_sweep` therefore computes one scalar row per theta: it
-forms w1..w4 with scheme_stencil's products and sums in their order, then
-A, B and C at cos(phi) = 1 and -1, and reads the amplification, its phi,
-the lead's sign and the Routh-Hurwitz triple from those two ends, in
-Python floats, so the module needs no numpy; :func:`stability_scan` is its
-one row for one theta.
+takes w1..w4 from scheme_stencils, forms A, B and C at cos(phi) = 1 and
+-1, and reads the amplification, its phi, the lead's sign and the
+Routh-Hurwitz triple from those two ends, in Python floats, so the module
+needs no numpy; one written-out formula gives |delta| at each end whatever
+the lead's sign.  :func:`stability_scan` is its one row for one theta.
 
 The rule's precondition is checked on every row, and exactly: A is affine
 in c, so it keeps one strict sign on [-1, 1] exactly when its two end
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .basis import UniformMesh, basis_weights, scheme_stencil
+from .basis import UniformMesh, basis_weights, scheme_stencils
 
 _DEGENERATE_LEAD = 1e-14
 _STABILITY_SLACK = 1e-12
@@ -72,24 +72,6 @@ class StabilitySweep(NamedTuple):
     rh2: list[float]
     rh3: list[float]
     stable: list[bool]
-
-
-def _end_amplification(a: float, b: float, c: float, disc: float) -> float:
-    """|delta|_max of A delta^2 - B delta + C = 0, whose discriminant is
-    ``disc``: inf for a degenerate lead, sqrt(C/A) for a complex pair, the
-    larger real root modulus for a real pair, and NaN for a NaN ``disc``."""
-    if abs(a) < _DEGENERATE_LEAD:
-        return math.inf
-    if disc < 0.0:
-        # |delta|^2 is the root product C/A, which 4AC > B^2 makes positive
-        return math.sqrt(c / a)
-    # |q| for q = (b + sign(b) sqrt(disc)) / 2: both terms share b's sign,
-    # so |q| = (|b| + sqrt(disc)) / 2 exactly; roots q/A and C/q (Vieta)
-    q = (abs(b) + math.sqrt(disc)) / 2.0
-    if q == 0.0:
-        return 0.0
-    far, near = q / abs(a), abs(c) / q
-    return near if near > far else far  # far is NaN whenever near is
 
 
 def stability_sweep(
@@ -123,29 +105,14 @@ def stability_sweep(
     if not dt >= 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
 
-    # scheme_stencil's products and sums in its order, with the parts free
-    # of theta formed once: lambda = lam0 + k^2 theta beta^2 and
-    # mu = mu0 - (1 - theta) k^2 beta^2
-    k, beta2 = dt, beta * beta
-    kk = k * k
-    lam0, mu0 = 1.0 + 2.0 * alpha * k, 2.0 + 2.0 * alpha * k
-    a1, a2, a5, a6 = weights.a1, weights.a2, weights.a5, weights.a6
     # C at cos(phi) = 1 and -1, the same on every row
-    c0, c_pi = a2 + 2.0 * a1, a2 - 2.0 * a1
+    c0, c_pi = weights.a2 + 2.0 * weights.a1, weights.a2 - 2.0 * weights.a1
     abs_c0, abs_c_pi = abs(c0), abs(c_pi)
     lead, limit = _DEGENERATE_LEAD, 1.0 + _STABILITY_SLACK
-    sqrt, pi = math.sqrt, math.pi
+    inf, sqrt, pi = math.inf, math.sqrt, math.pi
     sweep = StabilitySweep([], [], [], [], [], [])
     peaks, phis, rh1s, rh2s, rh3s = (column.append for column in sweep[:5])
-    for theta in thetas:
-        t = kk * theta
-        s = (1.0 - theta) * k * k
-        lam = lam0 + t * beta2
-        mu = mu0 - s * beta2
-        w1 = lam * a1 - t * a5
-        w2 = lam * a2 - t * a6
-        w3 = mu * a1 + s * a5
-        w4 = mu * a2 + s * a6
+    for w1, w2, w3, w4 in scheme_stencils(alpha, beta, thetas, dt, weights):
         # A and B at cos(phi) = 1 and -1
         w1x2, w3x2 = 2.0 * w1, 2.0 * w3
         a0, a_pi = w2 + w1x2, w2 - w1x2
@@ -153,35 +120,39 @@ def stability_sweep(
         rh1s(a_pi + b_pi + c_pi)
         rh2s(a_pi - c_pi)
         rh3s(a_pi - b_pi + c_pi)
-        disc0 = b0 * b0 - 4.0 * a0 * c0
-        disc_pi = b_pi * b_pi - 4.0 * a_pi * c_pi
-        if a0 >= lead and a_pi >= lead:
-            # as on every row below h = 2 pi / 3: _end_amplification with
-            # |A| = A, written out at both ends because calling it per end
-            # made the sweep about 15% slower
-            if disc0 < 0.0:
-                amp0 = sqrt(c0 / a0)
-            else:
-                q = (abs(b0) + sqrt(disc0)) / 2.0
-                amp0, near = (q / a0, abs_c0 / q) if q else (0.0, 0.0)
-                if near > amp0:
-                    amp0 = near
-            if disc_pi < 0.0:
-                amp_pi = sqrt(c_pi / a_pi)
-            else:
-                q = (abs(b_pi) + sqrt(disc_pi)) / 2.0
-                amp_pi, near = (q / a_pi, abs_c_pi / q) if q else (0.0, 0.0)
-                if near > amp_pi:
-                    amp_pi = near
-        elif a0 > 0.0 and a_pi > 0.0 or a0 < 0.0 and a_pi < 0.0:
-            amp0 = _end_amplification(a0, b0, c0, disc0)
-            amp_pi = _end_amplification(a_pi, b_pi, c_pi, disc_pi)
-        else:
+        if not (a0 > 0.0 and a_pi > 0.0 or a0 < 0.0 and a_pi < 0.0):
             # A is affine in cos(phi) and zero at cos(phi) = -w2 / (2 w1),
             # where a root is unbounded; A == 0 throughout names phi = 0
-            peaks(math.inf)
+            peaks(inf)
             phis(0.0 if w1 == 0.0 else math.acos(min(1.0, max(-1.0, -w2 / w1x2))))
             continue
+        # |delta|_max at each end, written out at both because a call per
+        # end made the sweep 15-24% slower: inf for a degenerate lead;
+        # sqrt(C/A), the root product, for a complex pair (4AC > B^2 makes
+        # C/A positive); and for a real pair the larger of q/|A| and |C|/q,
+        # the roots by Vieta, with |q| = (|B| + sqrt(disc)) / 2 exactly.
+        # far = q/|A| is NaN whenever near = |C|/q is
+        abs_a0, abs_a_pi = abs(a0), abs(a_pi)
+        disc0 = b0 * b0 - 4.0 * a0 * c0
+        if abs_a0 < lead:
+            amp0 = inf
+        elif disc0 < 0.0:
+            amp0 = sqrt(c0 / a0)
+        else:
+            q = (abs(b0) + sqrt(disc0)) / 2.0
+            amp0, near = (q / abs_a0, abs_c0 / q) if q else (0.0, 0.0)
+            if near > amp0:
+                amp0 = near
+        disc_pi = b_pi * b_pi - 4.0 * a_pi * c_pi
+        if abs_a_pi < lead:
+            amp_pi = inf
+        elif disc_pi < 0.0:
+            amp_pi = sqrt(c_pi / a_pi)
+        else:
+            q = (abs(b_pi) + sqrt(disc_pi)) / 2.0
+            amp_pi, near = (q / abs_a_pi, abs_c_pi / q) if q else (0.0, 0.0)
+            if near > amp_pi:
+                amp_pi = near
         # the first maximum: a tie names phi = 0, and a NaN wins
         if amp0 >= amp_pi or amp0 != amp0:
             peaks(amp0)
@@ -191,8 +162,8 @@ def stability_sweep(
             phis(pi)
     # a non-finite w makes its row's rh1 inf or NaN, and so their sum
     if not math.isfinite(sum(sweep.rh1)):
-        for theta in thetas:
-            if not all(map(math.isfinite, scheme_stencil(alpha, beta, theta, dt, weights))):
+        for stencil in scheme_stencils(alpha, beta, thetas, dt, weights):
+            if not all(map(math.isfinite, stencil)):
                 raise ValueError(
                     f"dt = {dt} gives non-finite Fourier coefficients w1..w4 "
                     f"(alpha = {alpha}, beta = {beta}); use a smaller dt"

@@ -956,13 +956,32 @@ def test_cli_import_loads_no_scipy():
 
 
 # runs ``python -m telespline ARGS`` and prints the telespline modules it
-# loaded, and numpy and dataclasses if it loaded them
+# loaded, and those of the names in ``shown`` that it loaded
 _UNPREFIXED = ("numpy", "dataclasses")
-_MODULE_PROBE = f"""\
+_MODULE_PROBE = """\
 import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("telespline.") or m in {_UNPREFIXED})))
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("telespline.") or m in {shown})))
 runpy.run_module("telespline", run_name="__main__", alter_sys=True)
 """
+_STABILITY_ARGV = ["stability", "--alpha", "1", "--beta", "1", "--dt", "1e-3", "--n", "100", "--theta", "0.5"]
+
+
+def probe_modules(argv, shown, *flags):
+    """The modules the probe reports for ``python FLAGS -m telespline ARGV``,
+    run from the source tree so that ``telespline`` imports from it."""
+    source = Path(telespline.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", _MODULE_PROBE.format(shown=shown), *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=source,
+        timeout=60,
+    )
+    assert result.stderr == ""
+    return result.stdout.split()
+
+
 # problem keeps two dataclasses, TelegraphProblem and BoundarySpec
 _SOLVE_MODULES = {"_record", "basis", "cli", "linalg", "problem", "solver", "numpy", "dataclasses"}
 _SHORT_RUN = ["--n", "10", "--dt", "0.01", "--t-final", "0.01"]
@@ -971,8 +990,7 @@ _SHORT_RUN = ["--n", "10", "--dt", "0.01", "--t-final", "0.01"]
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["stability", "--alpha", "1", "--beta", "1", "--dt", "1e-3", "--n", "100", "--theta", "0.5"],
-         {"_record", "basis", "cli", "stability"}),
+        (_STABILITY_ARGV, {"_record", "basis", "cli", "stability"}),
         (["solve", "--problem", "1"] + _SHORT_RUN, _SOLVE_MODULES),
         (["solve", "--config", "{config}"] + _SHORT_RUN, _SOLVE_MODULES | {"expr"}),
         (["bench", "--problem", "1"] + _SHORT_RUN, _SOLVE_MODULES | {"metrics"}),
@@ -982,15 +1000,13 @@ _SHORT_RUN = ["--n", "10", "--dt", "0.01", "--t-final", "0.01"]
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, write_config, argv, modules):
     config = write_config(1)
     argv = [arg.format(config=config) for arg in argv] + ["--output", str(tmp_path / "out.csv")]
-    source = Path(telespline.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", _MODULE_PROBE, *argv],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=source,
-        timeout=60,
-    )
-    assert result.stderr == ""
     expected = (name if name in _UNPREFIXED else f"telespline.{name}" for name in modules)
-    assert result.stdout.split() == sorted(expected)
+    assert probe_modules(argv, _UNPREFIXED) == sorted(expected)
+
+
+def test_stability_loads_no_pathlib_when_site_preloads_nothing(tmp_path):
+    # under python -S, site imports nothing before telespline, so every
+    # module listed is one that stability loaded; it reads no file
+    argv = _STABILITY_ARGV + ["--output", str(tmp_path / "out.csv")]
+    loaded = probe_modules(argv, _UNPREFIXED + ("pathlib",), "-S")
+    assert loaded == ["telespline._record", "telespline.basis", "telespline.cli", "telespline.stability"]

@@ -411,6 +411,18 @@ class TestSchemeStencil:
         assert first[0] - later[0] == pytest.approx(w.a1, rel=1e-12)
         assert first[1] - later[1] == pytest.approx(w.a2, rel=1e-12)
 
+    def test_first_step_adds_one_after_the_theta_part(self):
+        # lambda is (1 + 2 alpha k) + k^2 theta beta^2, and the first step adds
+        # its 1 to that sum; the order fixes the last bits of w1 and w2
+        w = basis_weights(UniformMesh(0.0, 1.0, 10))
+        thetas = np.linspace(0.0, 1.0, 101)
+        for alpha, beta, k in [(1.5, 2.0, 0.01), (0.3, 4.0, 0.07), (2.0, 1.3, 0.2)]:
+            w1, w2, _, _ = scheme_stencil(alpha, beta, thetas, k, w, first_step=True)
+            t = k * k * thetas
+            lam = ((1.0 + 2.0 * alpha * k) + t * (beta * beta)) + 1.0
+            assert w1.tolist() == (lam * w.a1 - t * w.a5).tolist()
+            assert w2.tolist() == (lam * w.a2 - t * w.a6).tolist()
+
     @pytest.mark.parametrize("level", ["j", "theta"])
     def test_rhs_without_data_is_the_stencil(self, level):
         # q = 0 and U^{j-1} = 0 leave w3 S + w4 M, with S = C_{i-3} + C_{i-1}

@@ -9,13 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from telespline import stability
-from telespline.basis import UniformMesh, basis_weights, scheme_stencil
-from telespline.stability import (
-    StabilityReport,
-    _end_amplification,
-    stability_scan,
-    stability_sweep,
-)
+from telespline.basis import BasisWeights, UniformMesh, basis_weights, scheme_stencil
+from telespline.stability import StabilityReport, stability_scan, stability_sweep
 
 from oracle import (
     _max_amplification,
@@ -234,9 +229,41 @@ class TestSweep:
             ]
             expected = [reference_amplification(*point) for point in abc]
             assert grid[row].tolist() == expected, row
-            # the library's scalar kernel for one end, at every point
-            scalar = [_end_amplification(a, b, c, b * b - 4.0 * a * c) for a, b, c in abc]
-            assert scalar == expected, row
+
+    @pytest.mark.parametrize(
+        "stencil, a1, a2",
+        [
+            # a degenerate lead, positive and negative: the linear root is
+            # finite, but a root grows without bound as A -> 0
+            ((0.0, 1e-20, 0.0, 2.0), 0.0, 3.0),
+            ((0.0, -1e-20, 0.0, 2.0), 0.0, 3.0),
+            # a lead of 1.1e-14 at one end and 1e-15 at the other
+            ((0.25e-14, 0.6e-14, 0.0, 2.0), 0.0, 3.0),
+            ((-0.25e-14, 0.6e-14, 0.0, 2.0), 0.0, 3.0),
+            # negative leads with a real pair whose far root q/|A| is the
+            # maximum, at phi = pi and at phi = 0
+            ((0.1, -1.0, -0.5, 3.0), 0.0, 2.0),
+            ((0.1, -1.0, 0.5, 3.0), 0.0, 2.0),
+            # a negative lead with a complex pair, and a double zero root
+            ((0.1, -1.0, 0.0, 0.5), 0.0, -2.0),
+            ((0.1, -1.0, 0.0, 0.0), 0.0, 0.0),
+        ],
+    )
+    def test_each_end_follows_the_scalar_formulas_whatever_the_lead(
+        self, monkeypatch, stencil, a1, a2
+    ):
+        # the stencil and weights chosen directly, each lead keeping one sign
+        # over [0, pi]: the row reads the first maximum of the two ends
+        monkeypatch.setattr(stability, "basis_weights", lambda mesh: BasisWeights(a1, a2, 0, 0, 0, 0))
+        monkeypatch.setattr(stability, "scheme_stencils", lambda *args: iter([stencil]))
+        w1, w2, w3, w4 = stencil
+        ends = [
+            reference_amplification(w2 + 2.0 * w1 * x, w4 + 2.0 * w3 * x, a2 + 2.0 * a1 * x)
+            for x in (1.0, -1.0)
+        ]
+        worst = 0 if ends[0] >= ends[1] else 1
+        report = stability_scan(0.0, 0.0, 0.5, 0.1, MESH)
+        assert (report.max_amplification, report.worst_phi) == (ends[worst], (0.0, math.pi)[worst])
 
     def test_ties_report_the_first_maximum(self):
         # with dt = 0 every mode has the double root 1, so all phi tie
@@ -267,6 +294,42 @@ class TestSweep:
         assert built == []
         stability_scan(*SEED_301, 0.5, 1e-3, mesh)
         assert len(built) == 1
+
+    def test_every_row_takes_its_weights_from_the_one_stencil(self, monkeypatch):
+        # the sweep forms no stencil product of its own: each row's w1..w4
+        # come from basis.scheme_stencils, which the step matrix reads too
+        rows = []
+        stencils = stability.scheme_stencils
+
+        def counted(*args, **kwargs):
+            for stencil in stencils(*args, **kwargs):
+                rows.append(stencil)
+                yield stencil
+
+        monkeypatch.setattr(stability, "scheme_stencils", counted)
+        mesh = UniformMesh(0.0, math.pi, 1000)
+        weights = basis_weights(mesh)
+        thetas = np.linspace(0.0, 1.0, 5001).tolist()
+        sweep = stability_sweep(*SEED_301, thetas, 1e-3, mesh)
+        assert len(rows) == 5001
+        assert rows == [scheme_stencil(*SEED_301, theta, 1e-3, weights) for theta in thetas]
+        c_pi = weights.a2 - 2.0 * weights.a1
+        assert sweep.rh2 == [(w2 - 2.0 * w1) - c_pi for w1, w2, _, _ in rows]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="B^2 overflows once |B| exceeds about 1.3e154, so the discriminant reads inf",
+    )
+    def test_huge_damping_or_mass_reads_stable(self):
+        # the paper proves theta >= 1/2 stable; alpha = 1e153 reads 1, stable,
+        # but at alpha = 1e154 (or beta = 1e80) the phi = 0 end's B^2 - 4AC
+        # is inf - inf or inf, and the row reads inf, unstable
+        mesh = UniformMesh(0.0, math.pi, 10)
+        verdicts = [
+            stability_scan(alpha, beta, 0.5, 1.0, mesh).stable
+            for alpha, beta in [(1e154, 1.0), (0.0, 1e80)]
+        ]
+        assert verdicts == [True, True]
 
     @pytest.mark.parametrize("dt", [1e154, 1e160, math.inf, math.nan])
     def test_non_finite_coefficients_name_dt(self, dt):
@@ -312,20 +375,6 @@ def assert_sweeps_equal(got, want, rows=slice(None)):
         assert got_bytes == want_bytes, (name, rows)
 
 
-@pytest.fixture
-def general_ends(monkeypatch):
-    """The arguments of every call to the general one-end kernel, which a
-    row takes unless its lead A is at least 1e-14 at both ends."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _end_amplification(*args)
-
-    monkeypatch.setattr(stability, "_end_amplification", counted)
-    return calls
-
-
 def lead_zero(alpha, beta, theta, dt, mesh):
     """The phi in [0, pi] where the lead A = w2 + 2 w1 cos(phi) vanishes, or
     None when A keeps one strict sign there (A is affine in cos(phi))."""
@@ -342,6 +391,10 @@ def lead_zero(alpha, beta, theta, dt, mesh):
 # vanishes and the spline normalisation degenerates
 FINE_CELL = st.floats(1e-3, 2.09)
 COARSE_CELL = st.floats(2.1, 3.14)
+# just above 2 pi / 3, where rounding in basis_weights makes the lead A
+# negative at both ends (a2 - 2 a1 loses every digit), so every row takes
+# the negative-lead side of the per-end formula
+JUST_COARSE_CELL = 2.0 * math.pi / 3.0 + 1e-10
 
 
 def magnitude():
@@ -361,6 +414,7 @@ class TestBandedSweep:
         n=st.integers(3, 3000),
         cell=st.one_of(st.floats(1e-3, 3.14), FINE_CELL, COARSE_CELL),
     )
+    @example(alpha=0.0, beta=0.0, thetas=[0.0, 0.5, 1.0], dt=0.1, n=3, cell=JUST_COARSE_CELL)
     @settings(max_examples=150, deadline=None)
     def test_equals_the_full_grid_oracle(self, alpha, beta, thetas, dt, n, cell):
         mesh = UniformMesh(0.0, n * cell, n)
@@ -477,15 +531,6 @@ class TestBandedSweep:
             assert phi in (0.0, math.pi)
             assert stable
 
-    def test_benchmark_sweeps_take_the_positive_lead_path(self, general_ends):
-        # below h = 2 pi / 3 the scheme's lead is positive at both ends on
-        # every row, so no row of the benchmark's sweeps needs the general
-        # kernel's per-end test of the lead's size and sign
-        mesh = UniformMesh(0.0, math.pi, 1000)
-        for alpha, beta in (SEED_301, SEED_7):
-            stability_sweep(alpha, beta, np.linspace(0.0, 1.0, 5001), 1e-3, mesh)
-        assert general_ends == []
-
 
 class TestScalarSweep:
     """The scalar loop against the vectorised two-end sweep it replaced."""
@@ -505,6 +550,10 @@ class TestScalarSweep:
     @example(
         alpha=0.0, beta=0.0, thetas=[0.0, 0.25, 0.5, 0.75, 1.0], dt=5.6e152, n=40,
         cell=math.pi / 40, as_array=True,
+    )
+    @example(
+        alpha=3.0, beta=0.5, thetas=[0.0, 0.5, 1.0], dt=0.1, n=3, cell=JUST_COARSE_CELL,
+        as_array=False,
     )
     @settings(max_examples=200, deadline=None)
     def test_equals_the_vectorised_two_end_sweep_bit_for_bit(
