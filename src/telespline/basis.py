@@ -265,7 +265,7 @@ def evaluate_solution(coeffs, x, mesh: UniformMesh, derivative_order: int = 0):
         raise ValueError(f"point {point} lies outside the domain [{mesh.a}, {mesh.b}]")
     knots = mesh.knots()
     cell = np.searchsorted(knots, x, side="right") - 1  # c = N at x = b
-    basis = _cell_basis(x - knots[cell], mesh)[derivative_order]
+    basis = _cell_basis(x - knots[cell], mesh)[int(derivative_order)]
     # C_N = 0 stands for TB_N, the fourth function of cell N, zero at b
     padded = np.append(values, 0.0)
     return np.sum(basis * padded[cell[..., None] + np.arange(4)], axis=-1)

@@ -43,19 +43,20 @@ it, which gives the pivots of the full sweep exactly.  At n = 10000 and
 dt = 1e-3 the fixed point comes within some tens of rows; a stiff step
 such as theta = 1, dt = 0.1 takes about 3200.
 
-The factor works on the band's run-length form: the interior block with
-its run of equal rows cut to one row that stands for all of them.  Every
-matrix of a run is one band (lo, mid, lo) between two boundary rows, so
-:meth:`CornerTridiagonalFactor.from_stencil` takes those scalars and writes
-a block of at most four rows; a general system's block is cut to the same
-form by one scan for its run.  The pivot sweep, the multipliers and the
-plan then share one path.  The multipliers are a short head, one scalar rho
-over the run past the fixed point and a short tail, and each doubling level
-is formed on a copy whose run is cut to 2**8 entries; the full multiplier
+Every matrix of a run is one band (lo, mid, lo) between two boundary rows,
+so :meth:`CornerTridiagonalFactor.from_stencil` takes those scalars and
+writes the band's run-length form: an interior block of at most four rows
+whose third row stands for all the equal rows between.  Only this form
+takes the shortcuts.  The multipliers are a short head, one scalar rho over
+the run past the fixed point and a short tail, and each doubling level is
+formed on a copy whose run is cut to 2**8 entries; the full multiplier
 array is written out only when a level's shift outgrows that cut, as on a
 stiff step.  Built from the stencil, a factor thus costs O(head + tail)
 work plus three n-length arrays: the pivots and the solve's two work
-arrays.
+arrays.  A system given as bands is factored row by row with no shortcut,
+through the same sweep, multipliers and plan with an empty run, as the
+reference that :meth:`~CornerTridiagonalFactor.from_stencil` is checked
+against.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class CornerTridiagonalFactor:
     """The matrix of a corner-tridiagonal system, factored for repeated solves.
 
     Built once from a :class:`CornerTridiagonalSystem` (its right-hand side
-    is ignored), or from the scalars of a constant band with
-    :meth:`from_stencil`; :meth:`solve` then takes any number of right-hand
+    is ignored), which marches every row, or from the scalars of a constant
+    band with :meth:`from_stencil`, which takes the run's shortcuts and
+    gives the same bits; :meth:`solve` then takes any number of right-hand
     sides.  Raises :class:`SingularSystemError` at the first pivot below the
     floor, in row order: row 0, row n-1, then the interior rows 1 .. n-2.
     ``levels`` holds the number of doubling levels of the forward and of the
@@ -231,7 +233,6 @@ class CornerTridiagonalFactor:
         diag[-1] -= self._fold_bottom * sub_last
         sup[0] -= self._fold_top * corner_top
         sub[-1] -= self._fold_bottom * corner_bottom
-        sub, diag, sup, extra = _cut_run(sub, diag, sup, extra)
         pivots, settled = _pivot_sweep(sub, diag, sup, extra)
         self._pivots = pivots
 
@@ -296,44 +297,23 @@ class CornerTridiagonalFactor:
         return x
 
 
-def _cut_run(
-    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, extra: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The tridiagonal block with its constant run cut to one row.
-
-    Row r >= 1 has the coefficients (sub[r-1], sup[r-1], diag[r]).  The
-    rows that follow row 2 with its coefficients, bit for bit, up to the
-    first that differs, are cut out and counted into ``extra``, so that row
-    2 of the result stands for the block's whole run, 1 + ``extra`` rows.
-    Comparing bits, not values, keeps a -0.0 out of a run of 0.0.
-    """
-    if diag.size < 4:
-        return sub, diag, sup, extra
-    low, middle, up = (a.view(np.int64) for a in (sub, diag, sup))
-    breaks = (up[2:] != up[1]) | (low[2:] != low[1]) | (middle[3:] != middle[2])
-    rows = int(breaks.argmax()) if breaks.any() else breaks.size
-    if rows:
-        sub = np.concatenate((sub[:2], sub[2 + rows :]))
-        sup = np.concatenate((sup[:2], sup[2 + rows :]))
-        diag = np.concatenate((diag[:3], diag[3 + rows :]))
-    return sub, diag, sup, extra + rows
-
-
 def _pivot_sweep(
     sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, extra: int
 ) -> tuple[np.ndarray, int]:
-    """Pivots of the elimination of a tridiagonal block in :func:`_cut_run`'s
-    form, and the first row from which they keep one value to the run's end.
+    """Pivots of the elimination of a tridiagonal block whose row 2 stands
+    for 1 + ``extra`` equal rows, and the first row from which they keep one
+    value to the run's end.
 
     Row r >= 1 takes its pivot from (sub[r-1], sup[r-1], diag[r]) and the
     pivot of row r-1.  Rows 2 .. 2 + ``extra``, the run, repeat one map; the
     sweep stops there once a pivot equals its predecessor bit for bit, gives
     the rest of the run that value and carries on after the run.  Without
-    such a fixed point the run's last row is the one returned.  Global row
-    numbers in errors are the block's row numbers plus one.  The sweep walks
-    Python floats one chunk at a time, taken from the arrays outside the run
-    and from the run's three scalars inside it, so its temporary lists stay
-    small whatever the size of the block.
+    such a fixed point the run's last row is the one returned.  With
+    ``extra`` 0, as for a system given as bands, every row is marched.
+    Global row numbers in errors are the block's row numbers plus one.  The
+    sweep walks Python floats one chunk at a time, taken from the arrays
+    outside the run and from the run's three scalars inside it, so its
+    temporary lists stay small whatever the size of the block.
     """
     floor = _PIVOT_FLOOR
     size = diag.size + extra
@@ -383,10 +363,10 @@ def _multipliers(
 ) -> tuple[np.ndarray, float, int, np.ndarray]:
     """-values / pivots in run-length form (head, rho, length, tail).
 
-    ``values`` is a band of :func:`_cut_run`'s form, whose entry 1 stands
-    for the run, and ``pivots`` the pivot of each entry.  Entries start ..
-    stop-1 all take the value rho; the head holds the ones before and the
-    tail the ones from stop on.
+    ``values`` is a band of the block that :func:`_pivot_sweep` takes,
+    whose entry 1 stands for the run, and ``pivots`` the pivot of each
+    entry.  Entries start .. stop-1 all take the value rho; the head holds
+    the ones before and the tail the ones from stop on.
     """
     head = np.concatenate((values[:1], np.repeat(values[1:2], start - 1)))
     rho = -float(values[1]) / float(pivots[start]) if stop > start else 0.0

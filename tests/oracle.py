@@ -4,8 +4,9 @@ None of this is used by the library itself: a dense matrix view of a
 corner-tridiagonal system, a dense Gaussian-elimination solver, the plain
 pivot sweep that marches every row, without the fixed-point exit of
 :func:`telespline.linalg._pivot_sweep`, also as a drop-in for it on the
-factor's cut blocks, and the factor's pivots and multipliers written out in
-full from it, the factor solve that forms every
+blocks of :meth:`~telespline.linalg.CornerTridiagonalFactor.from_stencil`,
+whose run it writes out, and the factor's pivots and multipliers written
+out in full from it, the factor solve that forms every
 doubling level in full on each call, which the factor's prebuilt plan must
 match bit for bit, the scalar spline evaluator, the tests' one way to
 evaluate a single basis function, which picks each branch on absolute knots
@@ -115,7 +116,8 @@ def plain_pivot_sweep(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.
 
 def plain_cut_sweep(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, extra: int):
     """:func:`plain_pivot_sweep` in place of the library's sweep, on a block
-    in its cut form, where row 2 stands for 1 + ``extra`` equal rows.
+    in ``from_stencil``'s form, where row 2 stands for 1 + ``extra`` equal
+    rows.
 
     The block is written out in full and every row marched.  The row it
     returns with the pivots is the last one, so the factor takes no

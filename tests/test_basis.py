@@ -352,8 +352,20 @@ class TestArrayEvaluation:
 
     def test_bad_derivative_order(self):
         mesh = UniformMesh(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="derivative_order"):
-            evaluate_solution(np.ones(8), [0.1, 0.2], mesh, 3)
+        for order in (1.5, 3):
+            with pytest.raises(ValueError, match="derivative_order"):
+                evaluate_solution(np.ones(8), [0.1, 0.2], mesh, order)
+
+    @pytest.mark.parametrize("order", [True, 1.0, np.int64(1)])
+    def test_order_equal_to_one_reads_as_one(self, order):
+        # any value equal to 1 passes the order check, so it must select
+        # order 1, as in knot_values, not index as a mask or fail as a float
+        mesh = UniformMesh(0.0, 1.0, 5)
+        coeffs = np.random.default_rng(8).uniform(-1.0, 1.0, 8)
+        want = evaluate_solution(coeffs, [0.1, 0.2], mesh, 1)
+        got = evaluate_solution(coeffs, [0.1, 0.2], mesh, order)
+        assert got.shape == want.shape == (2,)
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

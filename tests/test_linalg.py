@@ -313,16 +313,18 @@ def test_factor_reuse_matches_oracle_property(n, seed):
     assert_factor_reuse_matches_oracle(random_dominant_system(rng, n), rng)
 
 
-def factor_outcome(system, reference=False):
-    """The factor's pivots and full multiplier arrays as int64 bit patterns,
-    with its levels, or the row and pivot bits of its SingularSystemError;
-    ``reference`` takes them from the oracle's plain sweep instead."""
+def factor_outcome(make, *args):
+    """The pivots and full multiplier arrays of the factor ``make(*args)``
+    as int64 bit patterns, with its levels, or the row and pivot bits of its
+    SingularSystemError.  ``make`` is the factor's constructor, its
+    ``from_stencil``, or the oracle's ``reference_factor``, whose levels are
+    counted on the full arrays."""
     try:
-        if reference:
-            arrays = reference_factor(system)
+        if make is reference_factor:
+            arrays = reference_factor(*args)
             levels = tuple(doubling_depth(a) for a in arrays[1:])
         else:
-            factor = CornerTridiagonalFactor(system)
+            factor = make(*args)
             arrays = (factor._pivots, expand(factor._forward), expand(factor._backward))
             levels = factor.levels
     except SingularSystemError as exc:
@@ -332,8 +334,17 @@ def factor_outcome(system, reference=False):
 
 def assert_sweep_matches_reference(system):
     """The library's factor equals, bit for bit, the one the plain sweep gives."""
-    want = factor_outcome(system, reference=True)
-    assert factor_outcome(system) == want
+    want = factor_outcome(reference_factor, system)
+    assert factor_outcome(CornerTridiagonalFactor, system) == want
+    return want
+
+
+def assert_stencil_sweep_matches_reference(*args):
+    """``from_stencil(*args)``, which sweeps its run to the fixed point,
+    equals bit for bit the factor the plain sweep gives for its band
+    written out."""
+    want = factor_outcome(reference_factor, written_out(*args))
+    assert factor_outcome(CornerTridiagonalFactor.from_stencil, *args) == want
     return want
 
 
@@ -373,31 +384,38 @@ class TestFixedPointSweep:
         # the last condensed row has its own coefficients and pivot
         assert pivots[-1] != pivots[-2]
 
+    # the run cases go through from_stencil, the one factor whose block has
+    # a run; a system given as bands is marched row by row
+
     def test_floor_failure_inside_the_constant_run(self):
-        # pivots 7/8, 6/7, ... of the (1, 2, 1) stencil reach zero at block row 7
-        size = 30
-        system = block_system(np.ones(size - 1), [7 / 8] + [2.0] * (size - 1), np.ones(size - 1))
-        want = assert_sweep_matches_reference(system)
+        # row 0 folds the (1, 2, 1) stencil's first pivot to 2 - 9/8 = 7/8;
+        # pivots 7/8, 6/7, ... then reach zero at block row 7
+        want = assert_stencil_sweep_matches_reference(
+            32, 1.0, 2.0, (8.0, 9.0, 0.0), (0.0, 0.0, 1.0)
+        )
         assert want[:2] == ("singular", 8)
+        assert abs(np.int64(want[2]).view(np.float64)) < 1e-14
 
     def test_floor_failure_in_the_last_condensed_row(self):
-        size = 60
-        sub, diag, sup = np.ones(size - 1), np.full(size, 4.0), np.ones(size - 1)
-        pivots = plain_pivot_sweep(sub, diag, sup)
-        assert pivots[-2] == pivots[-3]  # the run converged before the last row
-        # cancel the last pivot exactly: d - l * (u / p) == 0
-        diag[-1] = sub[-1] * (sup[-1] / pivots[-2])
-        want = assert_sweep_matches_reference(block_system(sub, diag, sup))
-        assert want == ("singular", size, np.float64(0.0).view(np.int64))
+        # the (1, 2.5, 1) stencil's pivots settle on 2 exactly, and the fold
+        # of the last row (0, 2, 1) leaves 2.5 - 2 = 1/2 = 1 * (1 / 2) on the
+        # diagonal of block row n - 3, which cancels its pivot exactly
+        n = 60
+        run = plain_pivot_sweep(np.ones(n - 3), np.full(n - 2, 2.5), np.ones(n - 3))
+        assert run[-2] == 2.0  # the run converged before the last row
+        want = assert_stencil_sweep_matches_reference(
+            n, 1.0, 2.5, (1.0, 0.0, 0.0), (0.0, 2.0, 1.0)
+        )
+        assert want == ("singular", n - 2, np.float64(0.0).view(np.int64))
 
     def test_repeated_pivot_before_the_run_is_not_a_fixed_point(self):
-        # block rows 0 and 1 share the pivot 2, but the run's map sends 2 to 3.5
-        size = 12
-        diag = np.array([2.0, 3.0] + [4.0] * (size - 2))
-        sub = np.ones(size - 1)
-        sup = np.array([2.0] + [1.0] * (size - 2))
-        pivots = np.asarray(assert_sweep_matches_reference(block_system(sub, diag, sup))[0])
-        assert pivots[0] == pivots[1] != pivots[2]
+        # the first row (1, 2, -3) folds block rows 0 and 1 to the pivot 2
+        # each, but the run's map sends 2 to 3.5
+        want = assert_stencil_sweep_matches_reference(
+            12, 1.0, 4.0, (1.0, 2.0, -3.0), (0.0, 0.0, 1.0)
+        )
+        pivots = np.asarray(want[0]).view(np.float64)
+        assert pivots[0] == pivots[1] == 2.0 and pivots[2] == 3.5
 
     def test_run_ends_before_the_last_rows(self):
         # a stencil change a few rows from the end: the tail is marched in full
@@ -517,8 +535,10 @@ def test_doubling_plan_matches_reference_around_a_constant_run(head, run, tail, 
 
 def test_stiff_plan_is_formed_in_at_most_two_passes(monkeypatch):
     # problem 1 at theta = 1, dt = 0.1: the pivots reach their fixed point
-    # only after about 3200 rows and 14 levels count, so shifts past 2**8
-    # outgrow the cut copy and each direction needs the full array once
+    # only after about 3200 rows and 14 levels count.  A system given as
+    # bands has no run, so each direction is formed on its full array in
+    # one pass; from the stencil, shifts past 2**8 outgrow the cut copy and
+    # each direction needs the full array once more
     passes = []
     doubling_coefficients = linalg._doubling_coefficients
     doubling_levels = linalg._doubling_levels
@@ -535,13 +555,33 @@ def test_stiff_plan_is_formed_in_at_most_two_passes(monkeypatch):
     monkeypatch.setattr(linalg, "_doubling_levels", counted_levels)
     factor = CornerTridiagonalFactor(step_matrix(1, 10000, 1.0, 0.1, False))
     assert factor.levels == (14, 14)
-    assert passes == [2, 2]
+    assert passes == [1, 1]
     # the stencil entry writes the multipliers out only for the second pass
     passes.clear()
     args = _stencil(*stencil_args(1, 10000, 1.0, 0.1, "later steps"))
     factor = CornerTridiagonalFactor.from_stencil(*args)
     assert factor.levels == (14, 14)
     assert passes == [2, 2]
+
+
+def test_only_the_stencil_factor_hands_the_sweep_a_run(monkeypatch):
+    # a step matrix given as bands is swept as its whole condensed block of
+    # n - 2 rows; from the stencil the block is four rows, the third
+    # standing for the n - 5 equal rows between
+    calls = []
+    pivot_sweep = linalg._pivot_sweep
+
+    def recorded(sub, diag, sup, extra):
+        calls.append((sub.size, diag.size, sup.size, extra))
+        return pivot_sweep(sub, diag, sup, extra)
+
+    monkeypatch.setattr(linalg, "_pivot_sweep", recorded)
+    args = stencil_args(1, 1000, 0.75, 1e-3, "later steps")
+    system = _collocation_matrix(*args)
+    n = system.n
+    CornerTridiagonalFactor(system)
+    CornerTridiagonalFactor.from_stencil(*_stencil(*args))
+    assert calls == [(n - 3, n - 2, n - 3, 0), (3, 4, 3, n - 6)]
 
 
 def stencil_args(problem_id, n_cells, theta, dt, matrix):

@@ -274,6 +274,41 @@ class TestTemporalOrder:
         coarse, fine = (np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:]))
         assert 0.9 <= math.log2(coarse / fine) <= 1.1
 
+
+class TestSpatialOrder:
+    @pytest.mark.parametrize(
+        "kind, domain, slope",
+        [
+            (BoundaryKind.DIRICHLET, (0.0, math.pi), 0.0),
+            (BoundaryKind.NEUMANN, (0.0, 2 * math.pi), 1.0),
+        ],
+        ids=["dirichlet", "neumann"],
+    )
+    def test_second_order_in_h(self, kind, domain, slope):
+        # the steady solution u = sin x has no error in time, so the knot
+        # error is the spatial one, and halving h quarters it; the Neumann
+        # case prescribes u_x = cos x = 1 at both ends
+        beta = 2.0
+        p = TelegraphProblem(
+            alpha=4.0,
+            beta=beta,
+            domain=domain,
+            forcing=lambda x, t: (1 + beta**2) * np.sin(x),
+            initial_value=np.sin,
+            initial_velocity=lambda x: 0.0,
+            boundary=BoundarySpec(kind, lambda t: slope, lambda t: slope),
+            exact=lambda x, t: np.sin(x),
+            initial_slope=np.cos,
+        )
+        params = SchemeParams(theta=0.5, dt=0.05, t_final=20.0)
+        errors = []
+        for n_cells in (20, 40, 80, 160):
+            mesh = UniformMesh(domain[0], domain[1], n_cells)
+            frame = run(p, mesh, params, [20.0]).frames[0]
+            errors.append(knot_errors(frame, p, mesh))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.9 <= math.log2(coarse / fine) <= 2.1
+
 def dense_oracle(problem, mesh, params, current, previous, t_j, first_step):
     """Assemble the stepping system entry by entry, straight from the scheme."""
     w = basis_weights(mesh)

@@ -331,6 +331,23 @@ class TestSweep:
         ]
         assert verdicts == [True, True]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a2 - 2a1 cancels near h = 2 pi / 3, where a1 and a2 share one pole",
+    )
+    @pytest.mark.parametrize("delta", [1e-9, 1e-10])
+    def test_cells_just_below_two_thirds_pi_read_stable(self, delta):
+        # the lead A keeps its sign here; 60-digit mpmath reads the rows
+        # theta = 1/2 and 1 as 0.999375585329 and 0.998752338879, stable,
+        # and so does the library at delta = 1e-8.  Closer in, basis_weights
+        # loses every digit of a2 - 2a1 and the rows read inf, unstable
+        mesh = UniformMesh(0.0, 3 * (2 * math.pi / 3 - delta), 3)
+        sweep = stability_sweep(0.0, 0.0, [0.5, 1.0], 0.1, mesh)
+        assert sweep.stable == [True, True]
+        assert sweep.max_amplification == pytest.approx(
+            [0.999375585329, 0.998752338879], rel=0.0, abs=1e-6
+        )
+
     @pytest.mark.parametrize("dt", [1e154, 1e160, math.inf, math.nan])
     def test_non_finite_coefficients_name_dt(self, dt):
         with pytest.raises(ValueError, match="dt"):
