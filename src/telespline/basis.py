@@ -47,6 +47,9 @@ used throughout the collocation solver.  :func:`scheme_stencils` turns them
 into the time scheme's weights on those three coefficients; it is the one
 definition of those weights, which the solver reads for one theta through
 :func:`scheme_stencil` and the stability analysis for a sweep of thetas.
+Next to it are the one copy of each input rule, :func:`check_coefficients`
+for alpha and beta and :func:`check_thetas`, which the problem, the scheme
+parameters and the stability sweep call.
 """
 
 from __future__ import annotations
@@ -113,42 +116,52 @@ class BasisWeights(NamedTuple):
     a6: float
 
 
-def _require_nondegenerate(mesh: UniformMesh) -> None:
+def _require_nondegenerate(mesh: UniformMesh) -> tuple[float, float, float, float, float]:
+    """sin(h/2), sin h, sin(3h/2), 1 + 2 cos h and 2 cos(h/2) + cos(3h/2),
+    the factors the weights divide by, once none lies within 1e-14 of 0."""
     h = mesh.h
-    quantities = (
+    factors = (
         math.sin(h / 2),
         math.sin(h),
         math.sin(3 * h / 2),
         1 + 2 * math.cos(h),
         2 * math.cos(h / 2) + math.cos(3 * h / 2),
     )
-    for value in quantities:
+    for value in factors:
         if abs(value) < 1e-14:
             raise DegenerateMeshError(
                 f"cell width {h} makes the spline normalisation degenerate"
             )
+    return factors
 
 
 def basis_weights(mesh: UniformMesh) -> BasisWeights:
     """Closed-form knot weights for the given cell width."""
-    _require_nondegenerate(mesh)
+    # sin(h/2), sin h, sin(3h/2), 1 + 2 cos h and 2 cos(h/2) + cos(3h/2)
+    s12, s1, s32, c1, c32 = _require_nondegenerate(mesh)
     h = mesh.h
-    s32 = math.sin(3 * h / 2)
-    a1 = math.sin(h / 2) ** 2 / (math.sin(h) * s32)
-    a2 = 2 / (1 + 2 * math.cos(h))
+    a1 = s12 ** 2 / (s1 * s32)
+    a2 = 2 / c1
     a3 = -3 / (4 * s32)
     a4 = 3 / (4 * s32)
-    a5 = (
-        3
-        * (1 + 3 * math.cos(h))
-        / (16 * math.sin(h / 2) ** 2 * (2 * math.cos(h / 2) + math.cos(3 * h / 2)))
-    )
-    a6 = (
-        -3
-        * math.cos(h / 2) ** 2
-        / (2 * math.sin(h / 2) ** 2 * (1 + 2 * math.cos(h)))
-    )
+    a5 = 3 * (1 + 3 * math.cos(h)) / (16 * s12 ** 2 * c32)
+    a6 = -3 * math.cos(h / 2) ** 2 / (2 * s12 ** 2 * c1)
     return BasisWeights(a1, a2, a3, a4, a5, a6)
+
+
+def check_coefficients(alpha: float, beta: float) -> None:
+    """Refuse a negative or NaN alpha or beta, then an infinite one."""
+    if not (alpha >= 0 and beta >= 0):  # NaN fails too
+        raise ValueError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
+
+
+def check_thetas(thetas) -> None:
+    """Refuse the first theta outside [0, 1], NaN included."""
+    for theta in thetas:
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError(f"theta must lie in [0, 1], got {theta}")
 
 
 def scheme_stencils(
@@ -221,7 +234,8 @@ def _cell_basis(u, mesh: UniformMesh) -> np.ndarray:
     """
     import numpy as np
 
-    _require_nondegenerate(mesh)
+    # omega = sin(h/2) sin(h) sin(3h/2); 1 * sin(h/2) is exact
+    omega = math.prod(_require_nondegenerate(mesh)[:3])
     h = mesh.h
     # half[m + 2] = (u - m h)/2 for m = -2 .. 3
     half = np.subtract.outer(h * np.arange(-2, 4), u) / -2
@@ -234,7 +248,6 @@ def _cell_basis(u, mesh: UniformMesh) -> np.ndarray:
         -(_mul(_mul(sm1, sm1), s1) + _mul(_mul(sm1, s2), s0) + _mul(s3, s00)),
         _mul(s00, s0),
     )
-    omega = math.sin(h / 2) * math.sin(h) * math.sin(3 * h / 2)
     return np.stack(columns, axis=-1) / omega
 
 

@@ -260,10 +260,11 @@ class CornerTridiagonalFactor:
                 low, high = inner[:width], inner[shift:]
                 source, target = (low, high) if forward else (high, low)
                 product = products[:width]
+                # head, constant middle and tail each write their own products
                 h, t = head.size, width - tail.size
                 self._plan.append((
-                    source, rho, product, head, source[:h], product[:h],
-                    tail, source[t:], product[t:], target,
+                    source[h:t], rho, product[h:t], head, source[:h], product[:h],
+                    tail, source[t:], product[t:], product, target,
                 ))
 
     def solve(self, rhs) -> np.ndarray:
@@ -281,10 +282,10 @@ class CornerTridiagonalFactor:
         inner /= self._pivots
         multiply, add = np.multiply, np.add
         for (
-            source, rho, product, head, source_head, product_head,
-            tail, source_tail, product_tail, target,
+            source_middle, rho, product_middle, head, source_head, product_head,
+            tail, source_tail, product_tail, product, target,
         ) in self._plan:
-            multiply(source, rho, out=product)
+            multiply(source_middle, rho, out=product_middle)
             multiply(head, source_head, out=product_head)
             multiply(tail, source_tail, out=product_tail)
             add(target, product, out=target)
@@ -396,7 +397,7 @@ def _doubling_coefficients(
     """The (head, rho, tail) coefficients of each doubling level that has a
     coefficient of at least 2**-60, from multipliers in :func:`_multipliers`'
     run-length form; a level too deep to have a constant middle is all
-    head, with a zero rho whose products the head overwrites.
+    head, with an empty middle and a zero rho that multiplies nothing.
 
     The levels are first formed on a copy whose constant run is cut to 2**8
     entries, which gives the same bits for every level whose shift fits in

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+
+from .basis import check_coefficients
 
 # number of sample points used for cheap consistency probes
 _PROBE_POINTS = 33
@@ -84,13 +86,7 @@ class TelegraphProblem:
         a, b = self.domain
         if not b > a:
             raise ValueError(f"domain needs b > a, got [{a}, {b}]")
-        if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails too
-            raise ValueError(
-                f"damping and restoring coefficients must be nonnegative, "
-                f"got alpha={self.alpha}, beta={self.beta}"
-            )
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
+        check_coefficients(self.alpha, self.beta)
         if self.exact is not None:
             # the exact solution must restrict to the initial profile at t = 0
             x = a + (b - a) * np.arange(_PROBE_POINTS) / (_PROBE_POINTS - 1)
@@ -264,22 +260,11 @@ def _problem_four() -> TelegraphProblem:
 
 
 def _problem_five() -> TelegraphProblem:
-    """Decaying wave exp(-t) sin(x) on [0, 2 pi] with Neumann end data."""
-    sin_x = _memo(np.sin)
-    return TelegraphProblem(
-        alpha=4.0,
-        beta=2.0,
+    """Problem 1's data and kept sin(x) on [0, 2 pi], with Neumann u_x = exp(-t)."""
+    return replace(
+        _problem_one(),
         domain=(0.0, 2 * math.pi),
-        forcing=lambda x, t: -2 * np.exp(-t) * sin_x(x),
-        initial_value=sin_x,
-        initial_velocity=lambda x: -sin_x(x),
-        boundary=BoundarySpec(
-            BoundaryKind.NEUMANN,
-            lambda t: np.exp(-t),
-            lambda t: np.exp(-t),
-        ),
-        exact=lambda x, t: np.exp(-t) * sin_x(x),
-        initial_slope=lambda x: np.cos(x),
+        boundary=BoundarySpec(BoundaryKind.NEUMANN, lambda t: np.exp(-t), lambda t: np.exp(-t)),
     )
 
 

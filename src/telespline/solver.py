@@ -66,7 +66,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._record import FrozenRecord
-from .basis import BasisWeights, UniformMesh, basis_weights, scheme_stencil
+from .basis import BasisWeights, UniformMesh, basis_weights, check_thetas, scheme_stencil
 from .linalg import CornerTridiagonalFactor, CornerTridiagonalSystem, SingularSystemError, solve
 from .problem import BoundaryKind, TelegraphProblem, central_slope, sample, slope_step
 
@@ -110,8 +110,7 @@ class SchemeParams(FrozenRecord):
 
     def __init__(self, theta: float, dt: float, t_final: float, forcing_level: str = "j") -> None:
         self._assign(theta, dt, t_final, forcing_level)
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {theta}")
+        check_thetas((theta,))
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if not math.isfinite(t_final):

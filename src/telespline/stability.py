@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .basis import UniformMesh, basis_weights, scheme_stencils
+from .basis import UniformMesh, basis_weights, check_coefficients, check_thetas, scheme_stencils
 
 _DEGENERATE_LEAD = 1e-14
 _STABILITY_SLACK = 1e-12
@@ -90,18 +90,14 @@ def stability_sweep(
     |delta|^2 = 1 / (1 + 2 alpha k) exactly, so the two ends tie in exact
     arithmetic and rounding decides which of them ``worst_phi`` names.
 
-    Raises ``ValueError`` for a negative or infinite alpha or beta, a theta
-    outside [0, 1], a negative dt, or a dt whose stencil w1..w4 is not finite.
+    Raises ``ValueError`` for a negative, NaN or infinite alpha or beta, or a
+    theta outside [0, 1], by the rules of :mod:`telespline.basis`; for a
+    negative dt; or for a dt whose stencil w1..w4 is not finite.
     """
     thetas = list(map(float, thetas))
     weights = basis_weights(mesh)
-    if not (alpha >= 0 and beta >= 0):
-        raise ValueError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
-    for theta in thetas:
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    check_coefficients(alpha, beta)
+    check_thetas(thetas)
     if not dt >= 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
 

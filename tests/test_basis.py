@@ -1,5 +1,6 @@
 """Basis function values, derivatives, and knot-weight identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,14 @@ from telespline.basis import (
     UniformMesh,
     _cell_basis,
     basis_weights,
+    check_coefficients,
+    check_thetas,
     evaluate_solution,
     knot_values,
 )
+from telespline.problem import builtin_problem
+from telespline.solver import SchemeParams
+from telespline.stability import stability_sweep
 
 import oracle
 
@@ -39,6 +45,12 @@ WEIGHTS_HALF = (
 
 def mesh_with_h(h, n_cells=8):
     return UniformMesh(0.0, n_cells * h, n_cells)
+
+
+def random_meshes(count, seed=30):
+    """``count`` three-cell meshes with widths drawn uniformly from (0, pi)."""
+    widths = np.random.default_rng(seed).uniform(0.0, math.pi, count)
+    return [mesh_with_h(h, 3) for h in widths[widths > 0.0].tolist()]
 
 
 def as_tuple(w):
@@ -91,6 +103,34 @@ class TestWeights:
         with pytest.raises(DegenerateMeshError):
             basis_weights(UniformMesh(0.0, 2 * math.pi, 3))
 
+    def test_weights_equal_their_closed_forms_bit_for_bit(self):
+        # basis_weights takes its trig factors from _require_nondegenerate;
+        # each weight must keep the bits of its closed form written out
+        for mesh in random_meshes(10_000):
+            h = mesh.h
+            closed_forms = (
+                math.sin(h / 2) ** 2 / (math.sin(h) * math.sin(3 * h / 2)),
+                2 / (1 + 2 * math.cos(h)),
+                -3 / (4 * math.sin(3 * h / 2)),
+                3 / (4 * math.sin(3 * h / 2)),
+                3
+                * (1 + 3 * math.cos(h))
+                / (16 * math.sin(h / 2) ** 2 * (2 * math.cos(h / 2) + math.cos(3 * h / 2))),
+                -3 * math.cos(h / 2) ** 2 / (2 * math.sin(h / 2) ** 2 * (1 + 2 * math.cos(h))),
+            )
+            assert as_tuple(basis_weights(mesh)) == closed_forms, h
+
+    def test_kernel_normalisation_equals_its_closed_form_bit_for_bit(self):
+        # TB_c * omega = s_0^3 with s_0 = sin(u/2), so the kernel's column 3
+        # shows omega = sin(h/2) sin(h) sin(3h/2) through its bits
+        for mesh in random_meshes(10_000):
+            h = mesh.h
+            u = np.array([0.25, 0.5, 0.75]) * h
+            s0 = np.sin(u / 2)
+            omega = math.sin(h / 2) * math.sin(h) * math.sin(3 * h / 2)
+            got = _cell_basis(u, mesh)[0, :, 3]
+            assert got.tobytes() == (s0 * s0 * s0 / omega).tobytes(), h
+
     def test_mesh_validation(self):
         with pytest.raises(ValueError):
             UniformMesh(1.0, 0.0, 5)
@@ -125,6 +165,38 @@ class TestWeights:
     def test_knots_equal_knot_exactly(self, a, b, n):
         mesh = UniformMesh(a, b, n)
         assert mesh.knots().tolist() == [oracle.knot(mesh, i) for i in range(n + 1)]
+
+
+def refusal(make, *args, **kwargs):
+    """The message of the ValueError that ``make(*args, **kwargs)`` raises."""
+    with pytest.raises(ValueError) as caught:
+        make(*args, **kwargs)
+    return str(caught.value)
+
+
+class TestSchemeInputChecks:
+    """alpha, beta and theta are refused by one rule each, in the same words
+    from every entry point."""
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_alpha_and_beta(self, which, bad):
+        coefficients = {"alpha": 1.0, "beta": 2.0, which: bad}
+        alpha, beta = coefficients["alpha"], coefficients["beta"]
+        mesh = UniformMesh(0.0, math.pi, 20)
+        want = refusal(check_coefficients, alpha, beta)
+        assert want.startswith("alpha and beta must be ")
+        problem = builtin_problem(1)
+        assert refusal(dataclasses.replace, problem, alpha=alpha, beta=beta) == want
+        assert refusal(stability_sweep, alpha, beta, [0.5], 0.1, mesh) == want
+
+    @pytest.mark.parametrize("theta", [-0.1, 1.5, math.nan])
+    def test_theta(self, theta):
+        mesh = UniformMesh(0.0, math.pi, 20)
+        want = refusal(check_thetas, [theta])
+        assert want == f"theta must lie in [0, 1], got {theta}"
+        assert refusal(SchemeParams, theta, 0.1, 1.0) == want
+        assert refusal(stability_sweep, 1.0, 2.0, [0.5, theta], 0.1, mesh) == want
 
 
 class TestKnotTable:

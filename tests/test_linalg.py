@@ -584,6 +584,46 @@ def test_only_the_stencil_factor_hands_the_sweep_a_run(monkeypatch):
     assert calls == [(n - 3, n - 2, n - 3, 0), (3, 4, 3, n - 6)]
 
 
+def offset(view, base):
+    """Where the nonempty ``view`` starts in ``base``, in entries."""
+    start = view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+    return start // base.itemsize
+
+
+@pytest.mark.parametrize("from_stencil", [False, True], ids=["bands", "stencil"])
+def test_each_level_writes_every_product_once(from_stencil):
+    # problem 1 at theta = 1, dt = 0.1: from the stencil, 2 of the 28 levels
+    # are too deep to have a constant middle; given as bands, with no run,
+    # every level is all head
+    args = stencil_args(1, 10000, 1.0, 0.1, "later steps")
+    if from_stencil:
+        factor = CornerTridiagonalFactor.from_stencil(*_stencil(*args))
+    else:
+        factor = CornerTridiagonalFactor(_collocation_matrix(*args))
+    assert factor.levels == (14, 14)
+    all_head = 0
+    for (
+        source_middle, rho, product_middle, head, source_head, product_head,
+        tail, source_tail, product_tail, product, target,
+    ) in factor._plan:
+        assert target.size == product.size
+        # head, middle and tail, in this order, tile the level's products
+        parts = (product_head, product_middle, product_tail)
+        sizes = [head.size, product.size - head.size - tail.size, tail.size]
+        assert [part.size for part in parts] == sizes
+        assert [part.size for part in (source_head, source_middle, source_tail)] == sizes
+        start = 0
+        for part in parts:
+            if part.size:  # numpy keeps no position for an empty view
+                assert offset(part, product) == start
+            start += part.size
+        assert start == product.size
+        if not product_middle.size:
+            all_head += 1
+            assert (rho, tail.size, head.size) == (0.0, 0, product.size)
+    assert all_head == (2 if from_stencil else 28)
+
+
 def stencil_args(problem_id, n_cells, theta, dt, matrix):
     """The arguments of ``_stencil`` for the initial fit or a step matrix."""
     problem = builtin_problem(problem_id)

@@ -11,6 +11,7 @@ from telespline.metrics import error_norms
 from telespline.problem import (
     BoundaryKind,
     BoundarySpec,
+    Diagnostic,
     TelegraphProblem,
     _memo,
     builtin_problem,
@@ -166,6 +167,22 @@ class TestValidate:
         assert len(found) == 1
         assert "right" in found[0].condition
         assert found[0].magnitude == pytest.approx(3.0, abs=1e-6)
+
+    def test_exact_vs_initial_profile_mismatch_reported(self):
+        # 0.2 is a knot of 5 cells but none of the probes i/32 that the
+        # construction checks, so only validate() sees the mismatch
+        p = TelegraphProblem(
+            alpha=1.0,
+            beta=1.0,
+            domain=(0.0, 1.0),
+            forcing=lambda x, t: 0.0,
+            initial_value=lambda x: 0.0,
+            initial_velocity=lambda x: 0.0,
+            boundary=BoundarySpec(BoundaryKind.DIRICHLET, lambda t: 0.0, lambda t: 0.0),
+            exact=lambda x, t: np.where(x == 0.2, 1e-3, 0.0),
+        )
+        found = validate(p, UniformMesh(0.0, 1.0, 5))
+        assert found == [Diagnostic("exact solution vs initial profile", 0.2, 1e-3)]
 
     def test_central_slope(self):
         assert central_slope(math.sin, 1.0, 1e-6) == pytest.approx(
